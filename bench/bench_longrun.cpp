@@ -227,7 +227,7 @@ EqResult run_equivalence(int procs, int ckpt_every, int inflight,
   EqResult r;
   r.events = events;
   OnlineEngine compacted(EngineOptions{procs, policy});
-  OnlineEngine keepall(procs);
+  OnlineEngine keepall(EngineOptions{procs});
   LongrunGen gen(procs, ckpt_every, inflight, seed);
   std::vector<StreamEvent> buf;
   long long fed = 0;
@@ -388,12 +388,14 @@ int main(int argc, char** argv) {
 
   JsonArray rss_deciles, resident_deciles, rate_deciles, compaction_deciles;
   for (std::size_t d = 0; d < kDeciles; ++d) {
-    rss_deciles.push_back(
-        static_cast<long long>(soak.deciles[d].rss_kb));
-    resident_deciles.push_back(
-        static_cast<unsigned long long>(soak.deciles[d].retention.resident_bytes));
-    rate_deciles.push_back(decile_rate(soak, d));
-    compaction_deciles.push_back(soak.deciles[d].retention.compactions);
+    // emplace_back, not push_back of an implicitly converted temporary:
+    // GCC 12 flags the temporary's variant move with a false-positive
+    // -Wmaybe-uninitialized.
+    rss_deciles.emplace_back(static_cast<long long>(soak.deciles[d].rss_kb));
+    resident_deciles.emplace_back(static_cast<unsigned long long>(
+        soak.deciles[d].retention.resident_bytes));
+    rate_deciles.emplace_back(decile_rate(soak, d));
+    compaction_deciles.emplace_back(soak.deciles[d].retention.compactions);
   }
   report.add_metrics(
       "retention_on",
@@ -455,7 +457,7 @@ int main(int argc, char** argv) {
 
   JsonArray keepall_curve;
   for (const std::size_t b : eq.keepall_curve)
-    keepall_curve.push_back(static_cast<unsigned long long>(b));
+    keepall_curve.emplace_back(static_cast<unsigned long long>(b));
   report.add_metrics(
       "retention_off",
       JsonObject{

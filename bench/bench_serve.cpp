@@ -90,7 +90,7 @@ struct Reference {
 
 Reference standalone_reference(int num_processes,
                                std::span<const StreamEvent> ops) {
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   engine.feed(ops);
   Reference ref;
   ref.rdt = engine.is_rdt_so_far();

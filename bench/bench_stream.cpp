@@ -96,7 +96,7 @@ StreamTimings run_stream(int num_processes,
                          const std::vector<StreamEvent>& ops) {
   StreamTimings t;
   t.events = ops.size();
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   std::vector<CkptIndex> durable(static_cast<std::size_t>(num_processes), 0);
   ProcessId target_p = 0;
 
@@ -223,7 +223,7 @@ struct ConcurrentTimings {
 ConcurrentTimings run_concurrent(int num_processes,
                                  const std::vector<StreamEvent>& ops,
                                  std::size_t batch) {
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   ConcurrentTimings t;
   std::atomic<bool> done{false};
   std::atomic<long long> queries{0};
@@ -393,9 +393,9 @@ int main(int argc, char** argv) {
         .add(d1 > 0 ? d10 / d1 : 0.0, 3);
 
     // Intake-only single vs batched, plus the bit-identity cross-check.
-    OnlineEngine single(num_processes);
+    OnlineEngine single(EngineOptions{num_processes});
     const double single_wall = run_feed_single(single, ops);
-    OnlineEngine batched(num_processes);
+    OnlineEngine batched(EngineOptions{num_processes});
     const double batched_wall = run_feed_batched(batched, ops, batch);
     const bool match = same_end_state(single, batched);
     all_states_match = all_states_match && match;

@@ -1,6 +1,7 @@
 #include "online/engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <thread>
 
@@ -26,46 +27,10 @@ constexpr long long kMemProbeEvents = 1 << 18;
 
 }  // namespace
 
+// TdvMachine has no empty state; reset() re-seeds it anyway.
 OnlineEngine::OnlineEngine(const EngineOptions& options)
-    : num_processes_(options.num_processes),
-      retention_(options.retention),
-      machine_(options.num_processes) {
-  RDT_REQUIRE(options.num_processes >= 1, "need at least one process");
-  // TSA checks calls into RDT_REQUIRES helpers even from the constructor,
-  // so take the (uncontended, single-threaded) feed lock for the body.
-  const MutexLock lock(feed_mu_);
-  const auto n = static_cast<std::size_t>(options.num_processes);
-  clocks_.assign(n, VectorClock(options.num_processes));
-  state_.resize(n);
-  node_ids_.resize(n);
-  summary_nodes_.assign(n, -1);
-  tdv_pub_ = std::make_unique<std::atomic<CkptIndex>[]>(n * n);
-  clock_pub_ = std::make_unique<std::atomic<std::int64_t>[]>(n * n);
-  proc_pub_ = std::make_unique<PubProc[]>(n);
-  rc_.node_ids.resize(n);
-  rc_.durable_snap.assign(n, 0);
-  bootstrap_processes();
-  if constexpr (kAuditsEnabled) {
-    // The shadow is keep-all, so it never builds a shadow of its own.
-    if (retention_.enabled)
-      shadow_ = std::make_unique<OnlineEngine>(options.num_processes);
-  }
-  refresh_resident_bytes();
-}
-
-OnlineEngine::OnlineEngine(int num_processes)
-    : OnlineEngine(EngineOptions{num_processes, RetentionPolicy::keep_all()}) {}
-
-void OnlineEngine::bootstrap_processes() {
-  const auto n = static_cast<std::size_t>(num_processes());
-  for (ProcessId p = 0; p < num_processes(); ++p) {
-    auto& ps = state_[static_cast<std::size_t>(p)];
-    ps.pending.assign(n, 0);
-    ps.last_node = next_node_++;  // the implicit initial C_{p,0}
-    node_log_.push_back(CkptId{p, 0});
-    node_ids_[static_cast<std::size_t>(p)].ids.push_back(ps.last_node);
-  }
-  publish_all();  // own TDV entries are already 1 (interval I_{p,1})
+    : machine_(options.num_processes) {
+  reset(options);
 }
 
 void OnlineEngine::reset(const EngineOptions& options) {
@@ -93,30 +58,32 @@ void OnlineEngine::reset(const EngineOptions& options) {
   msgs_.clear();
   msgs_base_ = 0;
 
+  node_log_.reset();
+  edge_log_.reset();
+  next_node_ = 0;
   state_.resize(n);
-  for (auto& ps : state_) {
+  node_ids_.resize(n);
+  for (ProcessId p = 0; p < options.num_processes; ++p) {
+    auto& ps = state_[static_cast<std::size_t>(p)];
     ps.durable = 0;
-    ps.last_node = -1;
     ps.frontier = -1;
     ps.deliveries = 0;
     ps.open_retained = 0;
     ps.vio = 0;
+    ps.dirty = true;  // every mirror is republished below
     ps.interval_sends.clear();
+    ps.pending.assign(n, 0);
     ps.saved.reset(tdv_pool_);
-  }
-
-  node_ids_.resize(n);
-  for (auto& t : node_ids_) {
-    t.ids.clear();
+    // The implicit initial checkpoint C_{p,0}.
+    ps.last_node = next_node_++;
+    node_log_.push_back(CkptId{p, 0});
+    auto& t = node_ids_[static_cast<std::size_t>(p)];
+    t.ids.assign(1, ps.last_node);
     t.base = 0;
   }
   summary_nodes_.assign(n, -1);
-  next_node_ = 0;
   events_since_compact_ = 0;
   events_since_mem_probe_ = 0;
-  deferred_publish_ = false;
-  node_log_.reset();
-  edge_log_.reset();
 
   if (retention_.enabled) {
     // A bounded engine must not inherit a pathological previous session's
@@ -176,23 +143,15 @@ void OnlineEngine::reset(const EngineOptions& options) {
     // rc_.recovery_sweeps survives: it is a cumulative metrics counter.
   }
 
-  bootstrap_processes();
   if constexpr (kAuditsEnabled) {
-    if (retention_.enabled) {
-      if (shadow_)
-        shadow_->reset(options.num_processes);
-      else
-        shadow_ = std::make_unique<OnlineEngine>(options.num_processes);
-    } else {
-      shadow_.reset();
-    }
+    // The shadow is keep-all, so it never builds a shadow of its own.
+    shadow_ = retention_.enabled ? std::make_unique<OnlineEngine>(
+                                       EngineOptions{options.num_processes})
+                                 : nullptr;
   }
+  publish_dirty();  // own TDV entries are already 1 (interval I_{p,1})
   audit_published_state();
   refresh_resident_bytes();
-}
-
-void OnlineEngine::reset(int num_processes) {
-  reset(EngineOptions{num_processes, RetentionPolicy::keep_all()});
 }
 
 template <typename Fn>
@@ -213,54 +172,24 @@ auto OnlineEngine::read_stable(Fn&& fn) const -> decltype(fn()) {
 // ---------------------------------------------------------------------------
 // Feeder side: mirrors.
 
-void OnlineEngine::publish_tdv_row(ProcessId j) {
-  if (deferred_publish_) return;
+void OnlineEngine::publish_dirty() {
   const auto n = static_cast<std::size_t>(num_processes());
-  const Tdv& t = machine_.at(j);
-  std::atomic<CkptIndex>* row = tdv_pub_.get() + static_cast<std::size_t>(j) * n;
-  for (std::size_t i = 0; i < n; ++i)
-    row[i].store(t[i], std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_tdv_own(ProcessId j) {
-  if (deferred_publish_) return;
-  const auto n = static_cast<std::size_t>(num_processes());
-  const auto jj = static_cast<std::size_t>(j);
-  tdv_pub_[jj * n + jj].store(machine_.at(j)[jj], std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_clock_row(ProcessId j) {
-  if (deferred_publish_) return;
-  const auto n = static_cast<std::size_t>(num_processes());
-  const VectorClock& c = clocks_[static_cast<std::size_t>(j)];
-  std::atomic<std::int64_t>* row =
-      clock_pub_.get() + static_cast<std::size_t>(j) * n;
-  for (ProcessId i = 0; i < num_processes(); ++i)
-    row[static_cast<std::size_t>(i)].store(c.get(i), std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_clock_own(ProcessId j) {
-  if (deferred_publish_) return;
-  const auto n = static_cast<std::size_t>(num_processes());
-  const auto jj = static_cast<std::size_t>(j);
-  clock_pub_[jj * n + jj].store(clocks_[jj].get(j), std::memory_order_relaxed);
-}
-
-void OnlineEngine::publish_proc(ProcessId p) {
-  if (deferred_publish_) return;
-  const auto& ps = state_[static_cast<std::size_t>(p)];
-  PubProc& pub = proc_pub_[static_cast<std::size_t>(p)];
-  pub.durable.store(ps.durable, std::memory_order_relaxed);
-  pub.open_retained.store(ps.open_retained, std::memory_order_relaxed);
-  // pub.horizon is written only by compact_locked()/reset(): the horizon
-  // moves at compaction, never per event.
-}
-
-void OnlineEngine::publish_all() {
-  for (ProcessId p = 0; p < num_processes(); ++p) {
-    publish_tdv_row(p);
-    publish_clock_row(p);
-    publish_proc(p);
+  for (std::size_t p = 0; p < n; ++p) {
+    auto& ps = state_[p];
+    if (!ps.dirty) continue;
+    ps.dirty = false;
+    const Tdv& t = machine_.at(static_cast<ProcessId>(p));
+    const VectorClock& c = clocks_[p];
+    for (std::size_t i = 0; i < n; ++i) {
+      tdv_pub_[p * n + i].store(t[i], std::memory_order_relaxed);
+      clock_pub_[p * n + i].store(c.get(static_cast<ProcessId>(i)),
+                                  std::memory_order_relaxed);
+    }
+    proc_pub_[p].durable.store(ps.durable, std::memory_order_relaxed);
+    proc_pub_[p].open_retained.store(ps.open_retained,
+                                     std::memory_order_relaxed);
+    // proc_pub_[p].horizon is written only by compact_locked()/reset(): the
+    // horizon moves at compaction, never per event.
   }
 }
 
@@ -383,7 +312,6 @@ void OnlineEngine::do_send(MsgId m, ProcessId sender, ProcessId receiver) {
   ensure_frontier(sender);
   auto& ps = state_[static_cast<std::size_t>(sender)];
   clocks_[static_cast<std::size_t>(sender)].tick(sender);
-  publish_clock_own(sender);
 
   MessageState ms;
   ms.sender = sender;
@@ -443,9 +371,7 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
 
   clocks_[static_cast<std::size_t>(receiver)].tick(receiver);
   clocks_[static_cast<std::size_t>(receiver)].merge(ms.clock);
-  publish_clock_row(receiver);
   machine_.deliver(receiver, ms.tdv);
-  publish_tdv_row(receiver);
   // The merge may have covered pending starts; recount the receiver.
   refresh_vio(receiver);
 
@@ -453,12 +379,8 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   bump(delivered_, 1);
   bump(retained_total_, 2);
   ++pr.open_retained;
-  publish_proc(receiver);
   auto& psender = state_[static_cast<std::size_t>(sender)];
-  if (ms.send_interval == psender.durable + 1) {
-    ++psender.open_retained;
-    publish_proc(sender);
-  }
+  if (ms.send_interval == psender.durable + 1) ++psender.open_retained;
   bump(causal_junctions_, ms.deliveries_at_sender);
 
   // Non-causal junctions with m as the *incoming* message: every send of
@@ -502,9 +424,7 @@ void OnlineEngine::do_internal(ProcessId p) {
   ensure_frontier(p);
   auto& ps = state_[static_cast<std::size_t>(p)];
   clocks_[static_cast<std::size_t>(p)].tick(p);
-  publish_clock_own(p);
   ++ps.open_retained;
-  publish_proc(p);
   bump(retained_total_, 1);
   bump(events_consumed_, 1LL);
   bump(internals_observed_, 1LL);
@@ -523,7 +443,6 @@ void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
   // settled violations is exactly the process's live census.
   Tdv& saved = ps.saved.emplace_back(tdv_pool_);
   machine_.checkpoint(p, saved);
-  publish_tdv_own(p);
   long long settled = 0;
   for (std::size_t k = 0; k < ps.pending.size(); ++k) {
     if (ps.pending[k] > saved[k]) ++settled;
@@ -543,8 +462,6 @@ void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
   ps.interval_sends.clear();
   ps.open_retained = 0;
   clocks_[static_cast<std::size_t>(p)].tick(p);
-  publish_clock_own(p);
-  publish_proc(p);
 
   bump(retained_total_, 1);
   bump(recovery_epoch_, std::uint64_t{1});
@@ -569,6 +486,12 @@ void OnlineEngine::do_event(const StreamEvent& e) {
     default:
       RDT_REQUIRE(false, "unknown stream event kind");
   }
+  // Marked only once the event applied: its preconditions have validated
+  // the ids. A delivery changes the receiver's rows and, when the send
+  // interval is still open, the sender's open_retained.
+  state_[static_cast<std::size_t>(e.p)].dirty = true;
+  if (e.kind == EventKind::kDeliver)
+    state_[static_cast<std::size_t>(e.q)].dirty = true;
   // The keep-all shadow twin replays the event only after this engine
   // accepted it, so a precondition failure leaves the twins in lockstep.
   if (shadow_) shadow_->feed(std::span<const StreamEvent>(&e, 1));
@@ -580,43 +503,23 @@ void OnlineEngine::do_event(const StreamEvent& e) {
 // Intake entry points.
 
 void OnlineEngine::on_send(MsgId m, ProcessId sender, ProcessId receiver) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::send(m, sender, receiver));
-    audit_published_state();
-  }
-  after_commit();
+  const StreamEvent e = StreamEvent::send(m, sender, receiver);
+  feed({&e, 1});
 }
 
 void OnlineEngine::on_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::deliver(m, sender, receiver));
-    audit_published_state();
-  }
-  after_commit();
+  const StreamEvent e = StreamEvent::deliver(m, sender, receiver);
+  feed({&e, 1});
 }
 
 void OnlineEngine::on_internal(ProcessId p) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::internal(p));
-    audit_published_state();
-  }
-  after_commit();
+  const StreamEvent e = StreamEvent::internal(p);
+  feed({&e, 1});
 }
 
 void OnlineEngine::on_checkpoint(ProcessId p, CkptIndex index) {
-  const MutexLock lock(feed_mu_);
-  {
-    const WriteTicket ticket(seq_);
-    do_event(StreamEvent::checkpoint(p, index));
-    audit_published_state();
-  }
-  after_commit();
+  const StreamEvent e = StreamEvent::checkpoint(p, index);
+  feed({&e, 1});
 }
 
 void OnlineEngine::feed(std::span<const StreamEvent> events) {
@@ -630,24 +533,23 @@ void OnlineEngine::feed(std::span<const StreamEvent> events) {
     if (e.kind == EventKind::kSend) ++sends;
   if (msgs_.size() + sends > msgs_.capacity())
     msgs_.reserve(std::max(msgs_.size() + sends, msgs_.capacity() * 2));
+  std::exception_ptr failure;
   {
     const WriteTicket ticket(seq_);
     // No reader can observe the mirrors while the ticket holds seq_ odd, so
-    // publish once at commit instead of per event. A precondition failure
-    // still republishes before the ticket closes — the contract is that
-    // event k failing leaves exactly events [0, k) applied AND visible.
-    deferred_publish_ = true;
+    // the events only mark the processes they change and the marked mirrors
+    // are published once, before the ticket closes. A precondition failure
+    // takes the same path: event k failing leaves exactly events [0, k)
+    // applied AND visible.
     try {
       for (const StreamEvent& e : events) do_event(e);
     } catch (...) {
-      deferred_publish_ = false;
-      publish_all();
-      throw;
+      failure = std::current_exception();
     }
-    deferred_publish_ = false;
-    publish_all();
+    publish_dirty();
     audit_published_state();
   }
+  if (failure) std::rethrow_exception(failure);
   after_commit();
 }
 

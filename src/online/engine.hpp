@@ -55,7 +55,8 @@
 //     publishes every reader-visible value either as a relaxed atomic
 //     mirror or through an append-only PublishedLog, bracketing each
 //     event batch with a seqlock version counter (odd = mutation in
-//     flight).
+//     flight). The mirrors of the processes a batch touched are written
+//     once, at its commit.
 //   * `const` queries are retry-safe: they snapshot the mirrors under the
 //     seqlock (retrying if a mutation raced), so they take no lock the
 //     feeder could ever contend on. is_rdt_so_far/stats/live_tdv/
@@ -75,7 +76,7 @@
 // (ReplayOptions::online) or a DES run (SimConfig::online), call the on_*
 // methods directly, or hand whole batches to feed() — one write-side
 // acquisition per batch, bit-identical to the same events fed one at a
-// time.
+// time. Each on_* call is a one-event feed().
 //
 // Retention (PR 9). With a RetentionPolicy enabled (EngineOptions), the
 // engine bounds resident memory to the live frontier: compact() — manual or
@@ -187,11 +188,9 @@ using StatsResult = QueryResult<OnlineStats>;
 
 class OnlineEngine final : public PatternListener {
  public:
-  // The canonical construction path: process count + retention policy.
+  // An engine over options.num_processes processes under the retention
+  // policy; exactly an empty engine followed by reset(options).
   explicit OnlineEngine(const EngineOptions& options);
-  // Compatibility wrapper — a keep-all engine over `num_processes`
-  // processes, exactly OnlineEngine(EngineOptions{num_processes}).
-  explicit OnlineEngine(int num_processes);
 
   // Rewind to the freshly-constructed state under `options`, recycling
   // every arena the old stream grew: the message table, piggyback pools,
@@ -214,15 +213,13 @@ class OnlineEngine final : public PatternListener {
   // seqlock is still bracketed so a stray late reader spins rather than
   // tearing, but log prefixes a reader captured before reset are dead.
   void reset(const EngineOptions& options);
-  // Compatibility wrapper: reset(EngineOptions{num_processes}) — keep-all.
-  void reset(int num_processes);
 
   // The policy the engine was constructed/reset with. Lifecycle-stable:
   // changes only in the constructor and reset(), whose contract excludes
   // concurrent callers.
   const RetentionPolicy& retention() const { return retention_; }
 
-  // --- event intake (PatternListener) --------------------------------------
+  // --- event intake (PatternListener; each call is a one-event feed()) ------
   void on_send(MsgId m, ProcessId sender, ProcessId receiver) override;
   void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override;
   void on_internal(ProcessId p) override;
@@ -297,6 +294,9 @@ class OnlineEngine final : public PatternListener {
     // Count of pending[] entries the live TDV has not covered yet — the
     // process's contribution to live_vio_.
     int vio = 0;
+    // Set when an event changed this process's mirrored fields (TDV row,
+    // clock row, PubProc); feed() publishes and clears it at commit.
+    bool dirty = false;
     std::vector<MsgId> interval_sends;  // sends in the open interval
     // pending[k] = highest start index si of an unresolved MM junction from
     // P_k whose target is the open interval (0 = none). Settled at the next
@@ -400,10 +400,6 @@ class OnlineEngine final : public PatternListener {
   void do_internal(ProcessId p) RDT_REQUIRES(feed_mu_);
   void do_checkpoint(ProcessId p, CkptIndex index) RDT_REQUIRES(feed_mu_);
 
-  // Seed the initial checkpoints C_{p,0} into an empty engine and publish
-  // every mirror; shared by the constructor and reset().
-  void bootstrap_processes() RDT_REQUIRES(feed_mu_);
-
   // Post-commit feeder work that must run outside the event's WriteTicket:
   // the policy's automatic compaction and the periodic resident-bytes probe.
   void after_commit() RDT_REQUIRES(feed_mu_);
@@ -427,14 +423,10 @@ class OnlineEngine final : public PatternListener {
   // Recount process j's pending-vs-live census after its live TDV grew.
   void refresh_vio(ProcessId j) RDT_REQUIRES(feed_mu_);
 
-  // Mirror maintenance (feeder side).
-  void publish_tdv_row(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_tdv_own(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_clock_row(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_clock_own(ProcessId j) RDT_REQUIRES(feed_mu_);
-  void publish_proc(ProcessId p) RDT_REQUIRES(feed_mu_);
-  // Republish every mirror (all TDV/clock rows, every per-process pub).
-  void publish_all() RDT_REQUIRES(feed_mu_);
+  // Republish the TDV row, clock row and PubProc fields of every dirty
+  // process and clear the marks; the one place the mirrors are written
+  // (caller holds a WriteTicket).
+  void publish_dirty() RDT_REQUIRES(feed_mu_);
   // RDT_AUDITS-only: recompute every mirror from the feeder state.
   void audit_published_state() const RDT_REQUIRES(feed_mu_);
 
@@ -453,12 +445,13 @@ class OnlineEngine final : public PatternListener {
 
   mutable AnnotatedMutex feed_mu_;  // serializes feeders (on_* / feed)
 
-  // Changes only in the constructor and reset() (a quiesced lifecycle
-  // operation); atomic so the lock-free query paths may read it race-free.
-  std::atomic<int> num_processes_;
-  // Lifecycle-stable like num_processes_ (written only by the constructor
-  // and reset(), read by retention()); plain because it is never written
-  // while another thread can run.
+  // Changes only in reset() (a quiesced lifecycle operation, also the
+  // constructor's body); atomic so the lock-free query paths may read it
+  // race-free. 0 until the constructor's reset().
+  std::atomic<int> num_processes_{0};
+  // Lifecycle-stable like num_processes_ (written only by reset(), read by
+  // retention()); plain because it is never written while another thread
+  // can run.
   RetentionPolicy retention_;
 
   TdvMachine machine_ RDT_GUARDED_BY(feed_mu_);
@@ -488,10 +481,6 @@ class OnlineEngine final : public PatternListener {
   // RDT_AUDITS + retention builds: a keep-all twin fed the same events,
   // the oracle for audit_compact_equivalence(). Null otherwise.
   std::unique_ptr<OnlineEngine> shadow_ RDT_GUARDED_BY(feed_mu_);
-  // While a feed() batch holds the seqlock odd no reader can observe the
-  // mirrors, so per-event publication is wasted work: the publish_* helpers
-  // become no-ops and one publish_all() runs at batch commit.
-  bool deferred_publish_ RDT_GUARDED_BY(feed_mu_) = false;
 
   // ----- published state (written by the feeder, read by anyone) -----------
   std::atomic<std::uint64_t> seq_{0};
@@ -527,7 +516,8 @@ class OnlineEngine final : public PatternListener {
   std::atomic<long long> evicted_msgs_{0};
   std::atomic<long long> late_edges_{0};
   // Capacity-accounted footprint (util/mem_accounting.hpp), refreshed at
-  // construction, reset, every compaction and every ~256k fed events.
+  // every reset (construction included), every compaction and every ~256k
+  // fed events.
   std::atomic<std::size_t> resident_bytes_{0};
 
   mutable ReaderCache rc_;

@@ -9,9 +9,9 @@
 // a future junction verdict, or a Z-path query between live checkpoints.
 //
 // Two consequences shape this header:
-//  * EngineOptions is the canonical construction/reset path: a process
-//    count plus a RetentionPolicy. OnlineEngine(int) and reset(int) remain
-//    as compatibility wrappers for the (default) keep-everything engine.
+//  * EngineOptions is the one construction/reset parameter: a process
+//    count plus a RetentionPolicy (keep-everything by default, so
+//    EngineOptions{n} is the plain engine over n processes).
 //  * Queries about evicted state cannot be answered with a bare bool — a
 //    "false" that actually means "I no longer know" is a lie. QueryResult
 //    carries the answer together with a QueryStatus that distinguishes a
@@ -92,7 +92,7 @@ struct RetentionPolicy {
                          const RetentionPolicy&) = default;
 };
 
-// The canonical OnlineEngine construction/reset parameters.
+// The OnlineEngine construction/reset parameters.
 struct EngineOptions {
   int num_processes = 2;
   RetentionPolicy retention{};

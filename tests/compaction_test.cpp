@@ -120,7 +120,7 @@ void check_compaction_equivalence(int num_processes,
                                   const std::vector<StreamEvent>& ops,
                                   std::uint32_t seed, int rounds = 4) {
   OnlineEngine compacted(EngineOptions{num_processes, eager_manual()});
-  OnlineEngine keepall(num_processes);
+  OnlineEngine keepall(EngineOptions{num_processes});
   std::vector<CkptIndex> durable(static_cast<std::size_t>(num_processes), 0);
 
   std::minstd_rand rng(seed);
@@ -249,7 +249,7 @@ TEST(CompactionHorizon, ExactlyAtLineCheckpointsAreEvicted) {
 
 // compact() on a keep-all engine is a contract-level no-op.
 TEST(CompactionPolicy, KeepAllCompactIsANoOp) {
-  OnlineEngine engine(4);
+  OnlineEngine engine(EngineOptions{4});
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
   cfg.duration = 12.0;
@@ -278,7 +278,7 @@ TEST(CompactionAuto, CadencePolicyCompactsDuringFeed) {
   RetentionPolicy policy = RetentionPolicy::bounded(/*every_events=*/128);
   policy.min_evictable_checkpoints = 4;
   OnlineEngine engine(EngineOptions{cfg.num_processes, policy});
-  OnlineEngine keepall(cfg.num_processes);
+  OnlineEngine keepall(EngineOptions{cfg.num_processes});
   std::vector<CkptIndex> durable(4, 0);
 
   const std::span<const StreamEvent> all(ops);
@@ -320,12 +320,13 @@ TEST(CompactionReset, RetentionCapsRecycledCapacity) {
   tight.max_reset_message_capacity = 64;
   tight.max_pooled_reach_rows = 2;
 
-  OnlineEngine capped(4);
-  OnlineEngine uncapped(4);
+  OnlineEngine capped(EngineOptions{4});
+  OnlineEngine uncapped(EngineOptions{4});
   capped.feed(warm);
   uncapped.feed(warm);
   capped.reset(EngineOptions{4, tight});
-  uncapped.reset(4);  // keep-all reset: every arena keeps its capacity
+  // Keep-all reset: every arena keeps its capacity.
+  uncapped.reset(EngineOptions{4});
   EXPECT_LT(capped.retention_stats().resident_bytes,
             uncapped.retention_stats().resident_bytes);
 
@@ -337,7 +338,7 @@ TEST(CompactionReset, RetentionCapsRecycledCapacity) {
   cfg.seed = 42;
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
-  OnlineEngine fresh(4);
+  OnlineEngine fresh(EngineOptions{4});
   capped.feed(ops);
   fresh.feed(ops);
   std::vector<CkptIndex> durable(4, 0);

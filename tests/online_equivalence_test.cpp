@@ -4,12 +4,14 @@
 // far minus the sends of still-in-flight messages, finalized with virtual
 // checkpoints — at EVERY prefix of the stream, across all protocol kinds,
 // three environments and several seeds; plus hand-built edge cases, a
-// batched-vs-single bit-identity sweep over feed() batch sizes, and
-// TSan-covered concurrent-reader cases (OnlineConcurrency.*).
+// batched-vs-single bit-identity sweep over feed() batch sizes, the
+// precondition-failure contract, and TSan-covered concurrent-reader cases
+// (OnlineConcurrency.*).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,7 +157,7 @@ std::vector<std::size_t> deliver_positions(
 void check_all_prefixes(int num_processes,
                         const std::vector<StreamEvent>& ops) {
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
-  OnlineEngine engine(num_processes);
+  OnlineEngine engine(EngineOptions{num_processes});
   expect_prefix_equivalence(
       engine, closed_prefix(num_processes, ops, 0, deliver_pos), 0);
   for (std::size_t len = 1; len <= ops.size(); ++len) {
@@ -286,8 +288,8 @@ void check_batched_vs_single(int num_processes,
                              const std::vector<StreamEvent>& ops,
                              std::size_t batch) {
   SCOPED_TRACE("batch size " + std::to_string(batch));
-  OnlineEngine single(num_processes);
-  OnlineEngine batched(num_processes);
+  OnlineEngine single(EngineOptions{num_processes});
+  OnlineEngine batched(EngineOptions{num_processes});
   const std::span<const StreamEvent> all(ops);
   for (std::size_t i = 0; i < all.size(); i += batch) {
     const std::size_t n = std::min(batch, all.size() - i);
@@ -359,7 +361,7 @@ TEST(OnlineBatched, EmptyAndWholeStreamBatches) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine engine(cfg.num_processes);
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
   engine.feed({});  // no-op
   EXPECT_EQ(engine.events_consumed(), 0);
   engine.feed(ops);
@@ -367,9 +369,81 @@ TEST(OnlineBatched, EmptyAndWholeStreamBatches) {
   EXPECT_EQ(engine.events_consumed(),
             static_cast<long long>(ops.size()));
 
-  OnlineEngine single(cfg.num_processes);
+  OnlineEngine single(EngineOptions{cfg.num_processes});
   for (const StreamEvent& op : ops) feed_one(single, op);
   expect_same_live_state(single, engine);
+}
+
+// The failure contract: a precondition failure at event k leaves exactly
+// events [0, k) applied and visible, whether the bad event sits mid-batch
+// or arrives through on_*, and the engine then takes the valid remainder.
+TEST(OnlineBatched, FailureAtEventKLeavesPrefixAppliedAndVisible) {
+  constexpr int kProcs = 3;
+  const std::vector<StreamEvent> ops = {
+      StreamEvent::send(0, 0, 1),
+      StreamEvent::deliver(0, 0, 1),
+      StreamEvent::internal(2),
+      StreamEvent::send(1, 1, 2),
+      StreamEvent::checkpoint(1, 1),
+      StreamEvent::deliver(1, 1, 2),  // k: every bad event lands before this
+      StreamEvent::send(2, 2, 0),
+      StreamEvent::checkpoint(0, 1),
+      StreamEvent::deliver(2, 2, 0),
+      StreamEvent::checkpoint(2, 1),
+  };
+  constexpr std::size_t kFail = 5;
+  const std::span<const StreamEvent> all(ops);
+  const struct {
+    const char* precondition;
+    StreamEvent bad;
+  } cases[] = {
+      {"unknown id", StreamEvent::deliver(7, 1, 2)},
+      {"double delivery", StreamEvent::deliver(0, 0, 1)},
+      {"endpoint mismatch", StreamEvent::deliver(1, 1, 0)},
+      {"non-dense id", StreamEvent::send(5, 0, 2)},
+      {"skipped checkpoint index", StreamEvent::checkpoint(1, 3)},
+      {"process out of range", StreamEvent::internal(kProcs)},
+  };
+
+  const auto expect_same_state = [](const OnlineEngine& a,
+                                    const OnlineEngine& b) {
+    expect_same_live_state(a, b);
+    const RecoveryOutcome ra = a.recovery_line().value;
+    const RecoveryOutcome rb = b.recovery_line().value;
+    EXPECT_EQ(ra.line, rb.line);
+    EXPECT_EQ(ra.rollback_intervals, rb.rollback_intervals);
+    EXPECT_EQ(ra.total_rollback, rb.total_rollback);
+  };
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.precondition);
+    OnlineEngine reference(EngineOptions{kProcs});
+    reference.feed(all.first(kFail));
+
+    // Mid-batch: [0, 2) committed earlier, then one batch holding
+    // [2, k) + bad + the remainder.
+    OnlineEngine batched(EngineOptions{kProcs});
+    batched.feed(all.first(2));
+    std::vector<StreamEvent> batch(ops.begin() + 2, ops.begin() + kFail);
+    batch.push_back(c.bad);
+    batch.insert(batch.end(), ops.begin() + kFail, ops.end());
+    EXPECT_THROW(batched.feed(batch), std::invalid_argument);
+    expect_same_state(reference, batched);
+
+    // Through the listener entry points.
+    OnlineEngine single(EngineOptions{kProcs});
+    for (const StreamEvent& op : all.first(kFail)) feed_one(single, op);
+    EXPECT_THROW(feed_one(single, c.bad), std::invalid_argument);
+    expect_same_state(reference, single);
+
+    // The valid remainder is still accepted.
+    reference.feed(all.subspan(kFail));
+    batched.feed(all.subspan(kFail));
+    for (const StreamEvent& op : all.subspan(kFail)) feed_one(single, op);
+    expect_same_state(reference, batched);
+    expect_same_state(reference, single);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // reset() must hand back an engine bit-identical to a freshly constructed
@@ -386,11 +460,11 @@ void check_reset_matches_fresh(int warm_processes,
                std::to_string(warm.size()) + " events, reset " +
                std::to_string(warm_processes) + " -> " +
                std::to_string(num_processes) + " processes");
-  OnlineEngine recycled(warm_processes);
+  OnlineEngine recycled(EngineOptions{warm_processes});
   recycled.feed(std::span<const StreamEvent>(warm).first(warm_len));
-  recycled.reset(num_processes);
+  recycled.reset(EngineOptions{num_processes});
 
-  OnlineEngine fresh(num_processes);
+  OnlineEngine fresh(EngineOptions{num_processes});
   expect_same_live_state(fresh, recycled);
   const std::span<const StreamEvent> all(ops);
   constexpr std::size_t kBatch = 32;
@@ -453,12 +527,12 @@ TEST(OnlineReset, RepeatedResetStaysFresh) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine recycled(cfg.num_processes);
-  OnlineEngine fresh(cfg.num_processes);
+  OnlineEngine recycled(EngineOptions{cfg.num_processes});
+  OnlineEngine fresh(EngineOptions{cfg.num_processes});
   fresh.feed(ops);
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    recycled.reset(cfg.num_processes);
+    recycled.reset(EngineOptions{cfg.num_processes});
     EXPECT_EQ(recycled.events_consumed(), 0);
     recycled.feed(ops);
     expect_same_live_state(fresh, recycled);
@@ -480,7 +554,7 @@ TEST(OnlineConcurrency, QueriesDuringFeed) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine engine(cfg.num_processes);
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
 
   std::vector<std::thread> readers;
@@ -524,7 +598,7 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
-  OnlineEngine engine(cfg.num_processes);
+  OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
 
   std::vector<std::thread> readers;
@@ -618,7 +692,7 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   for (std::thread& r : readers) r.join();
 
   // Retained-state answers still match a keep-all engine.
-  OnlineEngine keepall(cfg.num_processes);
+  OnlineEngine keepall(EngineOptions{cfg.num_processes});
   keepall.feed(ops);
   EXPECT_EQ(engine.is_rdt_so_far(), keepall.is_rdt_so_far());
   EXPECT_EQ(engine.stats().value, keepall.stats().value);

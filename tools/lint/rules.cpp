@@ -158,16 +158,15 @@ void rule_obs_hot_path(const FileInput& file, std::string_view stripped,
 // Feeder-private state, audited: guarded by feed_mu_ (or rc_.mu for rc_)
 // and never read by the lock-free query path. Each entry is a deliberate,
 // reviewed exemption — extend only with the matching GUARDED_BY annotation.
-constexpr std::array<std::string_view, 16> kTicketAllowlist = {
+constexpr std::array<std::string_view, 15> kTicketAllowlist = {
     "machine_",    // feeder-private TDV machine, GUARDED_BY(feed_mu_)
     "clocks_",     // feeder-private vector clocks, GUARDED_BY(feed_mu_)
-    "state_",      // feeder-private per-process state, GUARDED_BY(feed_mu_)
+    "state_",      // per-process state + publish marks, GUARDED_BY(feed_mu_)
     "msgs_",       // feeder-private message table, GUARDED_BY(feed_mu_)
     "tdv_pool_",   // recycled piggyback buffers, GUARDED_BY(feed_mu_)
     "clock_pool_", // recycled piggyback buffers, GUARDED_BY(feed_mu_)
     "node_ids_",   // feeder-side node table, GUARDED_BY(feed_mu_)
     "next_node_",  // feeder-side node counter, GUARDED_BY(feed_mu_)
-    "deferred_publish_",  // feeder-only batching flag, GUARDED_BY(feed_mu_)
     "rc_",         // reader cache, all fields GUARDED_BY(rc_.mu)
     "retention_",  // retention policy, set at init/reset, GUARDED_BY(feed_mu_)
     "msgs_base_",  // message-window base, GUARDED_BY(feed_mu_)
