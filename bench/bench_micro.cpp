@@ -6,6 +6,10 @@
 //    control structures;
 //  * pattern analyses: TDV replay, chain analysis, R-graph closure, full
 //    RDT report;
+//  * the batch oracle's stages at the protocol study's operating point
+//    (BHMR on the random environment, n = 8, duration 400): chain
+//    analysis, R-graph closure, the definitional check and the fused
+//    junction-family pass, each on prebuilt analyses;
 //  * recovery-line computation (fixpoint vs R-graph propagation).
 //
 // Unlike the experiment binaries this one has no `--json` flag: use
@@ -74,6 +78,54 @@ void BM_RGraphClosure(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(g.num_nodes());
 }
 
+// The BHMR pattern the protocol study analyses: random environment, n = 8,
+// duration 400, basic-checkpoint period 10.
+Pattern study_pattern() {
+  return replay(make_trace(8, 400.0), ProtocolKind::kBhmr).pattern;
+}
+
+void BM_ChainAnalysisBhmr(benchmark::State& state) {
+  const Pattern p = study_pattern();
+  for (auto _ : state) {
+    const ChainAnalysis chains(p);
+    benchmark::DoNotOptimize(chains.noncausal_junctions().size());
+  }
+  state.counters["msgs"] = static_cast<double>(p.num_messages());
+}
+
+void BM_RGraphClosureBhmr(benchmark::State& state) {
+  const Pattern p = study_pattern();
+  const RGraph g(p);
+  for (auto _ : state) {
+    const ReachabilityClosure closure(g);
+    benchmark::DoNotOptimize(closure.reach(0, g.num_nodes() - 1));
+  }
+  state.counters["nodes"] = static_cast<double>(g.num_nodes());
+}
+
+void BM_CheckDefinitional(benchmark::State& state) {
+  const Pattern p = study_pattern();
+  const RdtAnalyses analyses(p);
+  (void)analyses.closure();
+  for (auto _ : state) {
+    const CheckResult r = check_rdt_definitional(analyses);
+    benchmark::DoNotOptimize(r.paths_checked);
+  }
+  state.counters["nodes"] = static_cast<double>(p.total_ckpts());
+}
+
+void BM_JunctionFamilies(benchmark::State& state) {
+  const Pattern p = study_pattern();
+  const RdtAnalyses analyses(p);
+  const ChainAnalysis& chains = analyses.chains();
+  for (auto _ : state) {
+    const JunctionReport r = check_junction_families(analyses);
+    benchmark::DoNotOptimize(r.cm.paths_checked);
+  }
+  state.counters["junctions"] =
+      static_cast<double>(chains.noncausal_junctions().size());
+}
+
 void BM_FullRdtReport(benchmark::State& state) {
   const Trace trace = make_trace(6, static_cast<double>(state.range(0)));
   const Pattern p = replay(trace, ProtocolKind::kNoForce).pattern;
@@ -112,6 +164,10 @@ BENCHMARK_CAPTURE(BM_ProtocolReplay, bhmr, ProtocolKind::kBhmr)
 BENCHMARK(BM_TdvReplay)->Arg(100)->Arg(400);
 BENCHMARK(BM_ChainAnalysis)->Arg(100)->Arg(400);
 BENCHMARK(BM_RGraphClosure)->Arg(100)->Arg(400);
+BENCHMARK(BM_ChainAnalysisBhmr);
+BENCHMARK(BM_RGraphClosureBhmr);
+BENCHMARK(BM_CheckDefinitional);
+BENCHMARK(BM_JunctionFamilies);
 BENCHMARK(BM_FullRdtReport)->Arg(50)->Arg(150);
 BENCHMARK(BM_RecoveryLineFixpoint)->Arg(100)->Arg(400);
 BENCHMARK(BM_RecoveryLineRGraph)->Arg(100)->Arg(400);

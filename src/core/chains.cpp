@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "util/check.hpp"
+#include "util/scc.hpp"
 
 namespace rdt {
 
@@ -62,14 +63,17 @@ ChainAnalysis::ChainAnalysis(const Pattern& pattern) : pattern_(&pattern) {
   }
 
   // Per-process maxima of the start bitsets (O(1) doubling queries later).
+  // Node ids are process-major, so the highest start of P_k is the highest
+  // set bit inside k's node range: one backward word scan per range.
   max_causal_start_.assign(msgs * n, 0);
   max_simple_start_.assign(msgs * n, 0);
   const auto collect = [&](const BitVector& bits, CkptIndex* out) {
-    for (std::size_t node = bits.find_next(0); node < bits.size();
-         node = bits.find_next(node + 1)) {
-      const CkptId c = pattern.node_ckpt(static_cast<int>(node));
-      CkptIndex& slot = out[static_cast<std::size_t>(c.process)];
-      slot = std::max(slot, c.index);
+    for (ProcessId k = 0; k < pattern.num_processes(); ++k) {
+      const auto lo = static_cast<std::size_t>(pattern.node_id({k, 0}));
+      const auto hi = lo + static_cast<std::size_t>(pattern.num_ckpts(k));
+      const std::size_t top = bits.find_last(lo, hi);
+      if (top != hi)
+        out[static_cast<std::size_t>(k)] = static_cast<CkptIndex>(top - lo);
     }
   };
   for (std::size_t m = 0; m < msgs; ++m) {
@@ -156,12 +160,7 @@ bool ChainAnalysis::causal_start_at_or_after(MsgId m, ProcessId k,
 
 bool ChainAnalysis::simple_causal_start_at_or_after(MsgId m, ProcessId k,
                                                     CkptIndex z) const {
-  RDT_REQUIRE(m >= 0 && m < pattern_->num_messages(), "message id out of range");
-  RDT_REQUIRE(k >= 0 && k < pattern_->num_processes(), "process id out of range");
-  const auto n = static_cast<std::size_t>(pattern_->num_processes());
-  return max_simple_start_[static_cast<std::size_t>(m) * n +
-                           static_cast<std::size_t>(k)] >=
-         std::max<CkptIndex>(z, 1);
+  return max_simple_start(m, k) >= std::max<CkptIndex>(z, 1);
 }
 
 CkptIndex ChainAnalysis::max_causal_start(MsgId m, ProcessId k) const {
@@ -169,6 +168,14 @@ CkptIndex ChainAnalysis::max_causal_start(MsgId m, ProcessId k) const {
   RDT_REQUIRE(k >= 0 && k < pattern_->num_processes(), "process id out of range");
   const auto n = static_cast<std::size_t>(pattern_->num_processes());
   return max_causal_start_[static_cast<std::size_t>(m) * n +
+                           static_cast<std::size_t>(k)];
+}
+
+CkptIndex ChainAnalysis::max_simple_start(MsgId m, ProcessId k) const {
+  RDT_REQUIRE(m >= 0 && m < pattern_->num_messages(), "message id out of range");
+  RDT_REQUIRE(k >= 0 && k < pattern_->num_processes(), "process id out of range");
+  const auto n = static_cast<std::size_t>(pattern_->num_processes());
+  return max_simple_start_[static_cast<std::size_t>(m) * n +
                            static_cast<std::size_t>(k)];
 }
 
@@ -184,69 +191,15 @@ void ChainAnalysis::build_zreach(bool causal_only) const {
   const auto t0 = std::chrono::steady_clock::now();
   const int msgs = pattern_->num_messages();
   ZReachTable& table = zreach_[causal_only ? 1 : 0];
-  table.comp.assign(static_cast<std::size_t>(msgs), -1);
 
-  // Iterative Tarjan over the implicit CSR. Condensation node ids are
-  // assigned in completion order, i.e. reverse-topologically: every
-  // successor component of a component c has an id < c.
-  struct Frame {
-    MsgId v;
-    std::size_t next;
-    std::size_t end;
-  };
-  std::vector<int> index(static_cast<std::size_t>(msgs), -1);
-  std::vector<int> low(static_cast<std::size_t>(msgs), 0);
-  std::vector<char> on_stack(static_cast<std::size_t>(msgs), 0);
-  std::vector<MsgId> stack;
-  std::vector<Frame> dfs;
-  int next_index = 0;
-  int num_comps = 0;
-
-  const auto push_node = [&](MsgId v) {
-    index[static_cast<std::size_t>(v)] = low[static_cast<std::size_t>(v)] =
-        next_index++;
-    stack.push_back(v);
-    on_stack[static_cast<std::size_t>(v)] = 1;
-    const auto [begin, end] = succ_range(v, causal_only);
-    dfs.push_back({v, begin, end});
-  };
-
-  for (MsgId root = 0; root < msgs; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    push_node(root);
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      if (f.next < f.end) {
-        const MsgId w = sends_by_proc_[static_cast<std::size_t>(
-            pattern_->message(f.v).receiver)][f.next++];
-        if (index[static_cast<std::size_t>(w)] == -1) {
-          push_node(w);
-        } else if (on_stack[static_cast<std::size_t>(w)]) {
-          low[static_cast<std::size_t>(f.v)] =
-              std::min(low[static_cast<std::size_t>(f.v)],
-                       index[static_cast<std::size_t>(w)]);
-        }
-        continue;
-      }
-      const MsgId v = f.v;
-      if (low[static_cast<std::size_t>(v)] ==
-          index[static_cast<std::size_t>(v)]) {
-        MsgId member;
-        do {
-          member = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(member)] = 0;
-          table.comp[static_cast<std::size_t>(member)] = num_comps;
-        } while (member != v);
-        ++num_comps;
-      }
-      dfs.pop_back();
-      if (!dfs.empty())
-        low[static_cast<std::size_t>(dfs.back().v)] =
-            std::min(low[static_cast<std::size_t>(dfs.back().v)],
-                     low[static_cast<std::size_t>(v)]);
-    }
-  }
+  // Condense the implicit CSR; component ids come out reverse-topological.
+  const int num_comps = strongly_connected_components(
+      msgs, [&](MsgId v) { return succ_range(v, causal_only); },
+      [&](MsgId v, std::size_t i) {
+        return sends_by_proc_[static_cast<std::size_t>(
+            pattern_->message(v).receiver)][i];
+      },
+      table.comp);
 
   // One reverse-topological word-parallel sweep: a component reaches its
   // members' own delivery intervals plus everything its successor

@@ -33,9 +33,9 @@
 // position-sorted send list. The graph is therefore stored implicitly in CSR
 // fashion: per-process send lists plus two range offsets per message, built
 // in O(M log M) without the all-pairs junction scan. Reachability condenses
-// this graph with Tarjan's SCC algorithm (zigzag cycles collapse to single
-// condensation nodes) and propagates checkpoint bitsets in one reverse-
-// topological word-parallel sweep — no fixpoint iteration.
+// this graph with Tarjan's SCC algorithm (util/scc.hpp; zigzag cycles
+// collapse to single condensation nodes) and propagates checkpoint bitsets
+// in one reverse-topological word-parallel sweep — no fixpoint iteration.
 #pragma once
 
 #include <mutex>
@@ -97,6 +97,8 @@ class ChainAnalysis {
   // Highest z such that a causal chain from C_{k,z} ends exactly with m
   // (0 if none). O(1): the per-process maxima are precomputed.
   CkptIndex max_causal_start(MsgId m, ProcessId k) const;
+  // Same over simple causal chains.
+  CkptIndex max_simple_start(MsgId m, ProcessId k) const;
 
   // ---- Z-path reachability over the junction graph ------------------------
   // Exists a chain whose first send is in I_{from} and last delivery in

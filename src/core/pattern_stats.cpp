@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/chains.hpp"
-#include "core/tdv.hpp"
 #include "rgraph/zigzag.hpp"
 
 namespace rdt {
@@ -43,17 +42,12 @@ PatternStats compute_stats(const RdtAnalyses& analyses) {
   stats.zreach_largest_scc = zreach.largest_scc;
   stats.zreach_sweep_ms = zreach.sweep_ms;
 
-  const TdvAnalysis& tdv = analyses.tdv();
-  const ReachabilityClosure& closure = analyses.closure();
-  for (int u = 0; u < pattern.total_ckpts(); ++u) {
-    const CkptId a = pattern.node_ckpt(u);
-    const ConstBitSpan row = closure.msg_reach_row(u);
-    for (std::size_t v = row.find_next(0); v < row.size();
-         v = row.find_next(v + 1))
-      if (!tdv.trackable(a, pattern.node_ckpt(static_cast<int>(v))))
-        ++stats.hidden_dependencies;
-    if (on_zigzag_cycle(closure, a)) ++stats.useless_checkpoints;
-  }
+  // Hidden dependencies are exactly the definitional check's failing pairs.
+  const CheckResult definitional = check_rdt_definitional(analyses);
+  stats.hidden_dependencies =
+      definitional.paths_checked - definitional.paths_satisfied;
+  stats.useless_checkpoints = static_cast<int>(
+      useless_checkpoints(analyses.closure()).size());
   return stats;
 }
 

@@ -28,10 +28,14 @@ struct RdtReport {
 
 std::ostream& operator<<(std::ostream& os, const RdtReport& report);
 
-// Runs all checkers. Cost: O(C^2) closure plus junction scans, where C is
-// the total checkpoint count — intended for analysis/validation, not for
-// the inner loop of a simulation. The five junction-based families run as
-// one fused pass (check_junction_families).
+// Runs all checkers. Cost: O(C^2) bits of closure memory, where C is the
+// total checkpoint count; the closure and every checker run a machine word
+// (64 checkpoints) at a time — O((C + E) * C / 64) for the closure over E
+// R-graph edges, O(C * (n + C / 64)) for the definitional check, and per
+// non-causal junction O(n + C / 64) plus an O(n * (n + log M))
+// visible-doubling scan over M messages. Intended for analysis and
+// validation, not for the inner loop of a simulation. The five
+// junction-based families run as one fused pass (check_junction_families).
 RdtReport analyze_rdt(const Pattern& pattern);
 // Same on analyses the caller already built (and can keep reusing).
 RdtReport analyze_rdt(const RdtAnalyses& analyses);

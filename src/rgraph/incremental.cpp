@@ -1,6 +1,5 @@
 #include "rgraph/incremental.hpp"
 
-#include "util/bit_kernels.hpp"
 #include "util/check.hpp"
 #include "util/mem_accounting.hpp"
 
@@ -140,23 +139,6 @@ std::size_t IncrementalReach::resident_bytes() const {
   for (const auto& row : rows_) bytes += row_bytes(row);
   for (const auto& row : row_pool_) bytes += row_bytes(row);
   return bytes;
-}
-
-void IncrementalReach::snapshot(int from, BitSpan reach_out,
-                                BitSpan msg_reach_out) {
-  const auto nodes = static_cast<std::size_t>(num_nodes());
-  RDT_REQUIRE(reach_out.size() == nodes && msg_reach_out.size() == nodes,
-              "snapshot spans must be num_nodes() bits wide");
-  const Row& row = row_for(from);
-  // Row layers are word blocks over exactly num_nodes bits with zero tails
-  // (set_bit only ever sets in-range node ids), so the copy-out is three
-  // whole-block ORs instead of a per-set-bit scatter.
-  const std::size_t nw = row.l0.size();
-  bitkern::or_into(reach_out.words(), row.l0.data(), nw);
-  bitkern::or_into(reach_out.words(), row.l1.data(), nw);
-  bitkern::or_into(msg_reach_out.words(), row.l1.data(), nw);
-  RDT_AUDIT(reach_out.tail_zero() && msg_reach_out.tail_zero(),
-            "closure row snapshot set tail bits");
 }
 
 }  // namespace rdt

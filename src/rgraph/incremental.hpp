@@ -1,9 +1,10 @@
 // Incrementally extended two-layer reachability over a growing R-graph.
 //
-// IncrementalReach is the pure incremental step the batch
-// ReachabilityClosure folds: nodes and edges are appended one at a time
-// (never removed — an R-graph only grows as the computation runs), and both
-// closure relations stay queryable after every append:
+// IncrementalReach is the online engine's closure: nodes and edges are
+// appended one at a time (never removed — an R-graph only grows as the
+// computation runs), and both closure relations stay queryable after every
+// append. The batch ReachabilityClosure (rgraph/reachability.hpp) derives
+// the same two relations independently, by SCC condensation:
 //  * reach(a, b)     — an R-path (possibly empty) from a to b;
 //  * msg_reach(a, b) — an R-path from a to b with >= 1 message edge.
 //
@@ -64,10 +65,6 @@ class IncrementalReach {
   // its row, later ones catch it up with the edge log.
   bool reach(int from, int to);
   bool msg_reach(int from, int to);
-
-  // Copy the current closure rows of `from` into caller-provided spans
-  // (bits OR-ed in; pass zeroed spans of width num_nodes()).
-  void snapshot(int from, BitSpan reach_out, BitSpan msg_reach_out);
 
   // Heap payload of the graph: adjacency, edge log, materialized and pooled
   // closure rows (capacities, per util/mem_accounting.hpp's convention).

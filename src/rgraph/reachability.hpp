@@ -10,6 +10,16 @@
 // process-edge paths carry no rollback dependency through messages, so e.g.
 // Z-cycle detection (msg_reach(c, c)) and Netzer–Xu compatibility must
 // exclude them.
+//
+// Construction, O((V + E) * V / 64) word operations: the two relations are
+// the layers of a product graph over (node, "message edge used yet?").
+// Layer 1 is the R-graph itself, so reach is its reflexive-transitive
+// closure: one SCC condensation (util/scc.hpp), then rows ORed together in
+// reverse topological order. Layer 0 has only process edges, one chain per
+// process, so msg_reach(C_{i,x}) is msg_reach(C_{i,x+1}) plus the reach
+// rows of the message-edge heads leaving C_{i,x} — one backward sweep per
+// process. The online engine's IncrementalReach maintains the same
+// relations by a different method; neither is built from the other.
 #pragma once
 
 #include <utility>
@@ -50,11 +60,11 @@ class ReachabilityClosure {
 };
 
 // Audit-tier (RDT_AUDIT) cross-validation: re-derives both closures from
-// independent per-node BFS sweeps over the R-graph and compares them to the
-// word-parallel Warshall result row by row. No-op unless the build defines
-// RDT_AUDITS; a mismatch throws rdt::audit_failure. O(V * (V + E)). Also
-// invoked automatically by the ReachabilityClosure constructor in audit
-// builds.
+// independent per-node BFS sweeps over the R-graph and from a word-parallel
+// Warshall rebuild, and compares them to the condensed result row by row.
+// No-op unless the build defines RDT_AUDITS; a mismatch throws
+// rdt::audit_failure. O(V * (V + E)). Also invoked automatically by the
+// ReachabilityClosure constructor in audit builds.
 void audit_reachability_closure(const ReachabilityClosure& closure);
 
 }  // namespace rdt

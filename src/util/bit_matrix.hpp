@@ -44,6 +44,40 @@ inline std::size_t find_next(const std::uint64_t* words, std::size_t size,
   return bitkern::find_next(words, size, from);
 }
 
+// Index of the highest set bit in [lo, hi), or `hi` when the range holds
+// none. A backward word scan: masks the two boundary words, reads only the
+// words the range covers.
+inline std::size_t find_last(const std::uint64_t* words, std::size_t lo,
+                             std::size_t hi) {
+  if (lo >= hi) return hi;
+  const std::size_t lo_word = lo >> 6;
+  std::size_t w = (hi - 1) >> 6;
+  std::uint64_t word = words[w] & (~0ULL >> (63 - ((hi - 1) & 63)));
+  for (;;) {
+    if (w == lo_word) word &= ~0ULL << (lo & 63);
+    if (word != 0)
+      return (w << 6) + 63 - static_cast<std::size_t>(__builtin_clzll(word));
+    if (w == lo_word) return hi;
+    word = words[--w];
+  }
+}
+
+// Sets every bit in [lo, hi): boundary words masked, interior words filled.
+inline void set_range(std::uint64_t* words, std::size_t lo, std::size_t hi) {
+  if (lo >= hi) return;
+  const std::size_t first = lo >> 6;
+  const std::size_t last = (hi - 1) >> 6;
+  const std::uint64_t head = ~0ULL << (lo & 63);
+  const std::uint64_t tail = ~0ULL >> (63 - ((hi - 1) & 63));
+  if (first == last) {
+    words[first] |= head & tail;
+    return;
+  }
+  words[first] |= head;
+  for (std::size_t w = first + 1; w < last; ++w) words[w] = ~0ULL;
+  words[last] |= tail;
+}
+
 }  // namespace bitdetail
 
 // Read-only view over a word-aligned block of bits. Cheap to copy; never
@@ -81,6 +115,12 @@ class ConstBitSpan {
   // past the last word).
   std::size_t find_next(std::size_t from) const {
     return bitdetail::find_next(words_, size_, from);
+  }
+
+  // Index of the highest set bit in [lo, hi), or hi if none.
+  std::size_t find_last(std::size_t lo, std::size_t hi) const {
+    RDT_REQUIRE(lo <= hi && hi <= size_, "bit range out of range");
+    return bitdetail::find_last(words_, lo, hi);
   }
 
   friend bool operator==(ConstBitSpan a, ConstBitSpan b) {
@@ -128,6 +168,11 @@ class BitSpan {
   void fill(bool value) const {
     for (std::size_t w = 0; w < num_words(); ++w) words_[w] = value ? ~0ULL : 0ULL;
     bitdetail::trim_tail(words_, size_);
+  }
+  // Sets every bit in [lo, hi).
+  void set_range(std::size_t lo, std::size_t hi) const {
+    RDT_REQUIRE(lo <= hi && hi <= size_, "bit range out of range");
+    bitdetail::set_range(words_, lo, hi);
   }
   void assign(ConstBitSpan other) const {
     RDT_REQUIRE(other.size() == size_, "size mismatch");
@@ -232,6 +277,14 @@ class BitVector {
   std::size_t find_next(std::size_t from) const {
     return bitdetail::find_next(words_.data(), size_, from);
   }
+
+  // Index of the highest set bit in [lo, hi), or hi if none.
+  std::size_t find_last(std::size_t lo, std::size_t hi) const {
+    return span().find_last(lo, hi);
+  }
+
+  // Sets every bit in [lo, hi).
+  void set_range(std::size_t lo, std::size_t hi) { span().set_range(lo, hi); }
 
   friend bool operator==(const BitVector&, const BitVector&) = default;
 

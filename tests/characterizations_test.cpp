@@ -6,9 +6,16 @@
 // with both implications strict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/rdt_checker.hpp"
 #include "fixtures.hpp"
+#include "protocols/protocol.hpp"
 #include "recovery/domino.hpp"
+#include "sim/environments.hpp"
+#include "sim/replay.hpp"
 #include "util/rng.hpp"
 
 namespace rdt {
@@ -219,6 +226,203 @@ TEST(Characterizations, FusedPassMatchesIndividualCheckers) {
     expect_same(fused.vcm, check_cm_visibly_doubled(a), "vcm");
     expect_same(fused.vpcm, check_pcm_visibly_doubled(a), "vpcm");
   }
+}
+
+// ------------------------------------------------- per-bit reference oracle
+//
+// The checkers as first written: one TdvAnalysis::trackable call per
+// checked pair or start, start sets expanded bit by bit through
+// Pattern::node_ckpt, and the visible-doubling scan over every message
+// delivered to the target process. The library evaluates the same
+// definitions a word at a time (suffix/prefix range masks and masked
+// popcounts); these loops pin it to the definitions, counter for counter
+// and witness for witness.
+
+CheckResult reference_definitional(const RdtAnalyses& a) {
+  const Pattern& p = a.pattern();
+  const ReachabilityClosure& closure = a.closure();
+  CheckResult result;
+  for (int u = 0; u < p.total_ckpts(); ++u) {
+    const CkptId cu = p.node_ckpt(u);
+    const ConstBitSpan row = closure.msg_reach_row(u);
+    for (std::size_t v = row.find_next(0); v < row.size();
+         v = row.find_next(v + 1)) {
+      const CkptId cv = p.node_ckpt(static_cast<int>(v));
+      ++result.paths_checked;
+      if (a.tdv().trackable(cu, cv)) {
+        ++result.paths_satisfied;
+      } else if (result.ok) {
+        result.ok = false;
+        result.witness = RdtViolation{cu, cv, std::nullopt};
+      }
+    }
+  }
+  return result;
+}
+
+std::vector<CkptId> reference_starts(const Pattern& p, const BitVector& bits) {
+  std::vector<CkptId> starts;
+  for (std::size_t node = bits.find_next(0); node < bits.size();
+       node = bits.find_next(node + 1))
+    starts.push_back(p.node_ckpt(static_cast<int>(node)));
+  return starts;
+}
+
+JunctionReport reference_junction_families(const RdtAnalyses& a) {
+  const Pattern& p = a.pattern();
+  const ChainAnalysis& chains = a.chains();
+  const TdvAnalysis& tdv = a.tdv();
+  JunctionReport report;
+
+  std::vector<std::vector<MsgId>> delivered_to(
+      static_cast<std::size_t>(p.num_processes()));
+  for (const Message& m : p.messages())
+    delivered_to[static_cast<std::size_t>(m.receiver)].push_back(m.id);
+
+  const auto charge = [](CheckResult& result, bool ok, const CkptId& start,
+                         const CkptId& target, const NonCausalJunction& jn) {
+    ++result.paths_checked;
+    if (ok) {
+      ++result.paths_satisfied;
+    } else if (result.ok) {
+      result.ok = false;
+      result.witness = RdtViolation{start, target, jn};
+    }
+  };
+
+  for (const NonCausalJunction& jn : chains.noncausal_junctions()) {
+    const Message& mc = p.message(jn.incoming);
+    const Message& mp = p.message(jn.outgoing);
+    const ProcessId j = mp.receiver;
+    const CkptIndex y = mp.deliver_interval;
+    const CkptId target{j, y};
+
+    std::vector<CkptIndex> best_visible(
+        static_cast<std::size_t>(p.num_processes()), 0);
+    for (MsgId cand : delivered_to[static_cast<std::size_t>(j)]) {
+      const Message& m2 = p.message(cand);
+      if (m2.deliver_interval > y) continue;
+      if (!p.happened_before(m2.send_event(), mc.deliver_event())) continue;
+      for (ProcessId k = 0; k < p.num_processes(); ++k) {
+        const CkptIndex z = chains.max_causal_start(cand, k);
+        if (z > best_visible[static_cast<std::size_t>(k)])
+          best_visible[static_cast<std::size_t>(k)] = z;
+      }
+    }
+    const auto visible = [&](const CkptId& start) {
+      if (start.process == j) return start.index <= y;
+      return best_visible[static_cast<std::size_t>(start.process)] >=
+             start.index;
+    };
+
+    const CkptId mm_start{mc.sender, mc.send_interval};
+    charge(report.mm, tdv.trackable(mm_start, target), mm_start, target, jn);
+    for (const CkptId& start :
+         reference_starts(p, chains.causal_starts(jn.incoming))) {
+      charge(report.cm, tdv.trackable(start, target), start, target, jn);
+      charge(report.vcm, visible(start), start, target, jn);
+    }
+    for (const CkptId& start :
+         reference_starts(p, chains.simple_causal_starts(jn.incoming))) {
+      charge(report.pcm, tdv.trackable(start, target), start, target, jn);
+      charge(report.vpcm, visible(start), start, target, jn);
+    }
+  }
+  return report;
+}
+
+// Highest z with bit {k, z} set in `bits` (0 if none), scanning every bit.
+CkptIndex reference_max_start(const Pattern& p, const BitVector& bits,
+                              ProcessId k) {
+  CkptIndex best = 0;
+  for (const CkptId& c : reference_starts(p, bits))
+    if (c.process == k) best = std::max(best, c.index);
+  return best;
+}
+
+void expect_matches_reference(const Pattern& p) {
+  const RdtAnalyses a(p);
+  expect_same(check_rdt_definitional(a), reference_definitional(a), "def");
+  const JunctionReport ref = reference_junction_families(a);
+  const JunctionReport fused = check_junction_families(a);
+  expect_same(fused.cm, ref.cm, "cm");
+  expect_same(fused.pcm, ref.pcm, "pcm");
+  expect_same(fused.mm, ref.mm, "mm");
+  expect_same(fused.vcm, ref.vcm, "vcm");
+  expect_same(fused.vpcm, ref.vpcm, "vpcm");
+  // The standalone checkers run single-query passes of the same engine.
+  expect_same(check_cm_doubled(a), ref.cm, "cm alone");
+  expect_same(check_pcm_doubled(a), ref.pcm, "pcm alone");
+  expect_same(check_mm_doubled(a), ref.mm, "mm alone");
+  expect_same(check_cm_visibly_doubled(a), ref.vcm, "vcm alone");
+  expect_same(check_pcm_visibly_doubled(a), ref.vpcm, "vpcm alone");
+
+  const ChainAnalysis& chains = a.chains();
+  for (MsgId m = 0; m < p.num_messages(); ++m)
+    for (ProcessId k = 0; k < p.num_processes(); ++k) {
+      EXPECT_EQ(chains.max_causal_start(m, k),
+                reference_max_start(p, chains.causal_starts(m), k))
+          << "m" << m << " P" << k;
+      EXPECT_EQ(chains.max_simple_start(m, k),
+                reference_max_start(p, chains.simple_causal_starts(m), k))
+          << "m" << m << " P" << k;
+    }
+}
+
+TEST(CheckerReference, EveryProtocolOnEveryEnvironment) {
+  // no-force and bcs violate RDT, so their patterns exercise the witness
+  // paths; the RDT protocols exercise the all-satisfied counters.
+  int violated = 0;
+  for (ProtocolKind kind : all_protocol_kinds()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      RandomEnvConfig rnd;
+      rnd.num_processes = 5;
+      rnd.duration = 40.0;
+      rnd.basic_ckpt_mean = 4.0;
+      rnd.seed = seed;
+      GroupEnvConfig grp;
+      grp.num_groups = 3;
+      grp.group_size = 3;
+      grp.overlap = 1;
+      grp.duration = 40.0;
+      grp.basic_ckpt_mean = 4.0;
+      grp.seed = seed;
+      ClientServerEnvConfig cs;
+      cs.num_servers = 4;
+      cs.num_requests = 30;
+      cs.basic_ckpt_mean = 4.0;
+      cs.seed = seed;
+      const struct {
+        const char* name;
+        Trace trace;
+      } envs[] = {{"random", random_environment(rnd)},
+                  {"group", group_environment(grp)},
+                  {"client_server", client_server_environment(cs)}};
+      for (const auto& env : envs) {
+        SCOPED_TRACE(to_string(kind) + "/" + env.name + "/seed " +
+                     std::to_string(seed));
+        const Pattern p = replay(env.trace, kind).pattern;
+        violated += !analyze_rdt(p).definitional.ok;
+        expect_matches_reference(p);
+      }
+    }
+  }
+  EXPECT_GT(violated, 0);
+}
+
+TEST(CheckerReference, RandomPatternsAndHandWitnesses) {
+  Rng rng(31337);
+  for (int round = 0; round < 60; ++round) {
+    const int n = 2 + static_cast<int>(rng.below(5));
+    const int steps = 20 + static_cast<int>(rng.below(200));
+    const double p_ckpt = 0.03 + rng.uniform() * 0.25;
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_matches_reference(
+        test::random_pattern(rng, n, steps, 0.35, 0.4, p_ckpt));
+  }
+  expect_matches_reference(test::figure1().pattern);
+  expect_matches_reference(domino_pattern(3));
+  expect_matches_reference(test::rdt_but_not_visibly_doubled());
 }
 
 }  // namespace

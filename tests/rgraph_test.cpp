@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/pattern_stats.hpp"
+#include "core/tdv.hpp"
 #include "fixtures.hpp"
 #include "rgraph/reachability.hpp"
 #include "rgraph/rgraph.hpp"
+#include "rgraph/zigzag.hpp"
+#include "sim/environments.hpp"
+#include "sim/replay.hpp"
 #include "util/rng.hpp"
 
 namespace rdt {
@@ -137,6 +147,75 @@ TEST(Closure, OutOfRangeThrows) {
   const ReachabilityClosure closure(g);
   EXPECT_THROW(closure.reach(-1, 0), std::invalid_argument);
   EXPECT_THROW(closure.reach(0, g.num_nodes()), std::invalid_argument);
+}
+
+// The full-rebuild reference for both closure planes: the Warshall closure
+// of the R-graph adjacency, then, per source row, the OR of the closure
+// rows of every message-edge head the source reaches.
+std::pair<BitMatrix, BitMatrix> warshall_planes(const RGraph& g) {
+  const Pattern& p = g.pattern();
+  const auto nodes = static_cast<std::size_t>(g.num_nodes());
+  BitMatrix reach(nodes, nodes);
+  for (std::size_t u = 0; u < nodes; ++u)
+    for (int v : g.successors(static_cast<int>(u)))
+      reach.set(u, static_cast<std::size_t>(v));
+  reach.close_transitively();
+  BitMatrix msg_reach(nodes, nodes);
+  for (std::size_t a = 0; a < nodes; ++a)
+    for (const Message& m : p.messages())
+      if (reach.get(a, static_cast<std::size_t>(
+                           p.node_id({m.sender, m.send_interval}))))
+        msg_reach.row(a).or_with(std::as_const(reach).row(static_cast<std::size_t>(
+            p.node_id({m.receiver, m.deliver_interval}))));
+  return {std::move(reach), std::move(msg_reach)};
+}
+
+TEST(Closure, MatchesWarshallOnZCyclePatterns) {
+  // no-force and bcs leave Z-cycles (useless checkpoints) and hidden
+  // dependencies in place, so the condensation sees non-trivial SCCs.
+  int useless_seen = 0;
+  for (const ProtocolKind kind : {ProtocolKind::kNoForce, ProtocolKind::kBcs})
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(to_string(kind) + "/seed " + std::to_string(seed));
+      RandomEnvConfig cfg;
+      cfg.num_processes = 5;
+      cfg.duration = 60.0;
+      cfg.basic_ckpt_mean = 4.0;
+      cfg.seed = seed;
+      const Pattern p = replay(random_environment(cfg), kind).pattern;
+      const RGraph g(p);
+      const ReachabilityClosure closure(g);
+      const auto [reach, msg_reach] = warshall_planes(g);
+      for (int u = 0; u < g.num_nodes(); ++u) {
+        const auto row = static_cast<std::size_t>(u);
+        EXPECT_TRUE(closure.reach_row(u) == reach.row(row)) << "reach row " << u;
+        EXPECT_TRUE(closure.msg_reach_row(u) == msg_reach.row(row))
+            << "msg_reach row " << u;
+      }
+
+      // Useless checkpoints and pattern stats, re-derived from the planes.
+      std::vector<CkptId> useless;
+      long long hidden = 0;
+      const TdvAnalysis tdv(p);
+      for (int u = 0; u < g.num_nodes(); ++u) {
+        const CkptId c = p.node_ckpt(u);
+        if (c.index < p.last_ckpt(c.process) &&
+            msg_reach.get(static_cast<std::size_t>(u + 1),
+                          static_cast<std::size_t>(u)))
+          useless.push_back(c);
+        for (int v = 0; v < g.num_nodes(); ++v)
+          if (msg_reach.get(static_cast<std::size_t>(u),
+                            static_cast<std::size_t>(v)) &&
+              !tdv.trackable(c, p.node_ckpt(v)))
+            ++hidden;
+      }
+      EXPECT_EQ(useless_checkpoints(closure), useless);
+      const PatternStats stats = compute_stats(p);
+      EXPECT_EQ(stats.useless_checkpoints, static_cast<int>(useless.size()));
+      EXPECT_EQ(stats.hidden_dependencies, hidden);
+      useless_seen += static_cast<int>(useless.size());
+    }
+  EXPECT_GT(useless_seen, 0);
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/bit_matrix.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/scc.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -127,6 +130,54 @@ TEST(BitVector, FindNextEdgeCases) {
   EXPECT_EQ(exact_empty.find_next(64), 128u);
 }
 
+TEST(BitVector, SetRangeMatchesPerBitSets) {
+  Rng rng(11);
+  for (const std::size_t size : {1u, 63u, 64u, 65u, 200u, 256u}) {
+    for (int round = 0; round < 50; ++round) {
+      const auto lo = static_cast<std::size_t>(rng.below(size + 1));
+      const auto hi = lo + static_cast<std::size_t>(rng.below(size - lo + 1));
+      BitVector ranged(size);
+      ranged.set_range(lo, hi);
+      BitVector expected(size);
+      for (std::size_t i = lo; i < hi; ++i) expected.set(i);
+      EXPECT_EQ(ranged, expected) << size << " [" << lo << ", " << hi << ")";
+      EXPECT_TRUE(ranged.span().tail_zero());
+    }
+  }
+  BitVector v(10);
+  EXPECT_THROW(v.set_range(4, 11), std::invalid_argument);
+  EXPECT_THROW(v.set_range(5, 4), std::invalid_argument);
+}
+
+TEST(BitVector, FindLastMatchesBackwardScan) {
+  Rng rng(12);
+  for (const std::size_t size : {1u, 63u, 64u, 65u, 200u, 256u}) {
+    for (int round = 0; round < 50; ++round) {
+      BitVector v(size);
+      for (std::size_t i = 0; i < size; ++i)
+        if (rng.below(16) == 0) v.set(i);
+      const auto lo = static_cast<std::size_t>(rng.below(size + 1));
+      const auto hi = lo + static_cast<std::size_t>(rng.below(size - lo + 1));
+      std::size_t expected = hi;
+      for (std::size_t i = hi; i > lo; --i)
+        if (v.get(i - 1)) {
+          expected = i - 1;
+          break;
+        }
+      EXPECT_EQ(v.find_last(lo, hi), expected)
+          << size << " [" << lo << ", " << hi << ")";
+    }
+  }
+  BitVector v(130);
+  v.set(0);
+  v.set(129);
+  EXPECT_EQ(v.find_last(0, 130), 129u);
+  EXPECT_EQ(v.find_last(0, 129), 0u);
+  EXPECT_EQ(v.find_last(1, 129), 129u);  // empty range answers hi
+  EXPECT_EQ(v.find_last(7, 7), 7u);
+  EXPECT_THROW((void)v.find_last(0, 131), std::invalid_argument);
+}
+
 TEST(BitVector, MergeOrsWithoutChangeTracking) {
   BitVector a(130);
   BitVector b(130);
@@ -237,6 +288,29 @@ TEST(BitMatrix, TransitiveClosureCycle) {
 TEST(BitMatrix, ClosureRequiresSquare) {
   BitMatrix m(2, 3);
   EXPECT_THROW(m.close_transitively(), std::invalid_argument);
+}
+
+TEST(Scc, ComponentsAreReverseTopological) {
+  // 0 -> 1 -> 2 -> 0 is a cycle; 2 -> 3 -> 4 -> 3 another; 5 is isolated.
+  const std::vector<std::vector<int>> succ = {{1}, {2}, {0, 3}, {4}, {3}, {}};
+  std::vector<int> comp;
+  const int comps = strongly_connected_components(
+      static_cast<int>(succ.size()),
+      [&](int v) {
+        return std::pair<std::size_t, std::size_t>{0, succ[static_cast<std::size_t>(v)].size()};
+      },
+      [&](int v, std::size_t i) { return succ[static_cast<std::size_t>(v)][i]; }, comp);
+  EXPECT_EQ(comps, 3);
+  EXPECT_EQ(comp[0], comp[1]);
+  EXPECT_EQ(comp[1], comp[2]);
+  EXPECT_EQ(comp[3], comp[4]);
+  EXPECT_NE(comp[0], comp[3]);
+  EXPECT_NE(comp[5], comp[0]);
+  EXPECT_NE(comp[5], comp[3]);
+  // Every edge leads to a component with an equal or smaller id.
+  for (std::size_t v = 0; v < succ.size(); ++v)
+    for (int w : succ[v]) EXPECT_GE(comp[v], comp[static_cast<std::size_t>(w)]);
+  EXPECT_LT(comp[3], comp[0]);
 }
 
 // ----------------------------------------------------------------------- Rng
