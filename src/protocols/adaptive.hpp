@@ -71,7 +71,6 @@ class AdaptiveProtocol final : public CicProtocol {
   void merge_payload(const PiggybackView& msg, ProcessId sender) override;
   void reset_on_checkpoint(bool forced) override;
 
-  bool predicate_c1(const PiggybackView& msg) const;
   void maybe_switch();
 
   Mode mode_ = Mode::kRich;

@@ -23,9 +23,9 @@ namespace rdt {
 
 class NoForceProtocol final : public CicProtocol {
  public:
-  using CicProtocol::CicProtocol;
+  NoForceProtocol(int num_processes, ProcessId self)
+      : CicProtocol(num_processes, self, /*transmits_tdv=*/false) {}
   ProtocolKind kind() const override { return ProtocolKind::kNoForce; }
-  bool transmits_tdv() const override { return false; }
   ForceReason force_reason(const PiggybackView&, ProcessId) const override {
     return ForceReason::kNone;
   }
@@ -33,9 +33,9 @@ class NoForceProtocol final : public CicProtocol {
 
 class CbrProtocol final : public CicProtocol {
  public:
-  using CicProtocol::CicProtocol;
+  CbrProtocol(int num_processes, ProcessId self)
+      : CicProtocol(num_processes, self, /*transmits_tdv=*/false) {}
   ProtocolKind kind() const override { return ProtocolKind::kCbr; }
-  bool transmits_tdv() const override { return false; }
   ForceReason force_reason(const PiggybackView&, ProcessId) const override {
     return ForceReason::kEveryDelivery;
   }
@@ -43,9 +43,9 @@ class CbrProtocol final : public CicProtocol {
 
 class CasProtocol final : public CicProtocol {
  public:
-  using CicProtocol::CicProtocol;
+  CasProtocol(int num_processes, ProcessId self)
+      : CicProtocol(num_processes, self, /*transmits_tdv=*/false) {}
   ProtocolKind kind() const override { return ProtocolKind::kCas; }
-  bool transmits_tdv() const override { return false; }
   ForceReason force_reason(const PiggybackView&, ProcessId) const override {
     return ForceReason::kNone;
   }
@@ -54,9 +54,9 @@ class CasProtocol final : public CicProtocol {
 
 class NrasProtocol final : public CicProtocol {
  public:
-  using CicProtocol::CicProtocol;
+  NrasProtocol(int num_processes, ProcessId self)
+      : CicProtocol(num_processes, self, /*transmits_tdv=*/false) {}
   ProtocolKind kind() const override { return ProtocolKind::kNras; }
-  bool transmits_tdv() const override { return false; }
   ForceReason force_reason(const PiggybackView&, ProcessId) const override {
     return after_first_send() ? ForceReason::kAfterSend : ForceReason::kNone;
   }

@@ -19,9 +19,9 @@ namespace rdt {
 
 class BcsProtocol final : public CicProtocol {
  public:
-  using CicProtocol::CicProtocol;
+  BcsProtocol(int num_processes, ProcessId self)
+      : CicProtocol(num_processes, self, /*transmits_tdv=*/false) {}
   ProtocolKind kind() const override { return ProtocolKind::kBcs; }
-  bool transmits_tdv() const override { return false; }
   PayloadShape payload_shape() const override { return {.index = true}; }
 
   CkptIndex timestamp() const { return lc_; }

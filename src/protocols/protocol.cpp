@@ -71,8 +71,8 @@ const std::vector<ProtocolKind>& rdt_protocol_kinds() {
   return kinds;
 }
 
-CicProtocol::CicProtocol(int num_processes, ProcessId self)
-    : n_(num_processes), self_(self) {
+CicProtocol::CicProtocol(int num_processes, ProcessId self, bool transmits_tdv)
+    : n_(num_processes), self_(self), transmits_tdv_(transmits_tdv) {
   RDT_REQUIRE(num_processes >= 1, "need at least one process");
   RDT_REQUIRE(self >= 0 && self < num_processes, "self id out of range");
   // Statement (S0): all-zero TDV, take the initial checkpoint C_{self,0}

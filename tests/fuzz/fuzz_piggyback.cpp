@@ -9,13 +9,19 @@
 // must reproduce the planes bit-identically through three *synchronized*
 // codec instances (A decodes the input, E re-encodes A's output planes, B
 // decodes E's bytes — all three walk the same per-channel shadow history,
-// the way a sender/receiver pair does). A decoded-then-reencoded payload
-// that fails to decode, or decodes differently, means the encoder and
-// decoder disagree on what "canonical" means.
+// the way a sender/receiver pair does). Every encoding is canonical, so
+// the re-encoded bytes must also equal the input bytes A consumed: a
+// decoder that accepts a second spelling of some payload (an overlong
+// varint, a zero delta) fails here. A decoded-then-reencoded payload that
+// fails to decode, decodes differently, or re-encodes differently means
+// the encoder and decoder disagree on what "canonical" means.
 //
-// Input layout: [0] codec kind (mod 3), [1] process count (1 + mod 12),
-// [2] shape bits (1 tdv, 2 simple, 4 causal, 8 index), [3]/[4] channel
-// seeds, [5..] a concatenated stream of encoded payloads.
+// Input layout: [0] codec kind (mod 3), [1] process count (1 + mod 130,
+// 1 + mod 64 for the delta codec — both straddle the 64-bit word
+// boundaries of the bit planes), [2] shape bits (1 tdv, 2 simple, 4
+// causal, 8 index), [3]/[4] channel seeds, [5..] a concatenated stream of
+// encoded payloads.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -73,7 +79,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 5 || size > (1u << 20)) return 0;
   const auto kind = static_cast<rdt::PiggybackCodecKind>(data[0] % 3);
-  const int n = 1 + data[1] % 12;
+  const int n = 1 + data[1] % (kind == rdt::PiggybackCodecKind::kDelta
+                                    ? rdt::kMaxDeltaProcesses
+                                    : 130);
   const rdt::PayloadShape shape{.tdv = (data[2] & 1) != 0,
                                 .simple = (data[2] & 2) != 0,
                                 .causal = (data[2] & 4) != 0,
@@ -112,6 +120,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const std::size_t len =
         e.encode(src, dest, decoded.view(shape, un), reencoded);
     if (len != reencoded.size()) __builtin_trap();
+    if (len != offset - before ||
+        !std::equal(reencoded.begin(), reencoded.end(), data + before))
+      __builtin_trap();
     std::size_t reoffset = 0;
     b.decode(src, dest, reencoded, reoffset, again.slot(shape, un));
     if (reoffset != reencoded.size()) __builtin_trap();

@@ -202,6 +202,24 @@ TEST(Wire, RejectsVarint64BitOverflow) {
   expect_rejected(bytes);
 }
 
+TEST(Wire, RejectsOverlongVarints) {
+  // The canonical frame {len 2, session 1, count 0} decodes...
+  const std::vector<std::uint8_t> canonical = {0x02, 0x01, 0x00};
+  Frame frame;
+  std::size_t at = 0;
+  decode_frame(canonical, at, frame);
+  EXPECT_EQ(frame.session, 1u);
+  // ...but not with its frame length spelled `82 00`...
+  expect_rejected({0x82, 0x00, 0x01, 0x00});
+  // ...nor with its session id spelled `81 00` (length patched to 3).
+  expect_rejected({0x03, 0x81, 0x00, 0x00});
+  // An overlong event header inside an otherwise valid frame.
+  expect_rejected({0x04, 0x01, 0x01, 0x80, 0x00});
+  // peek_frame reads the same envelope and rejects it the same way.
+  EXPECT_THROW(peek_frame(std::vector<std::uint8_t>{0x82, 0x00, 0x01, 0x00}, 0),
+               std::invalid_argument);
+}
+
 TEST(Wire, RejectsPayloadOverCap) {
   std::vector<std::uint8_t> bytes;
   // varint(kMaxFramePayload + 1) as a bare length prefix.
