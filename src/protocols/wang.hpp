@@ -29,13 +29,6 @@ class FdasProtocol : public CicProtocol {
                ? ForceReason::kNewDependency
                : ForceReason::kNone;
   }
-
- protected:
-  bool brings_new_dependency(const PiggybackView& msg) const {
-    for (std::size_t k = 0; k < msg.tdv.size(); ++k)
-      if (msg.tdv[k] > tdv_[k]) return true;
-    return false;
-  }
 };
 
 class FdiProtocol final : public FdasProtocol {

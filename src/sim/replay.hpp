@@ -8,7 +8,7 @@
 // behaviour, replaying different protocols over the same trace yields
 // directly comparable forced-checkpoint counts.
 //
-// Two knobs make large sweeps cheap (see docs/benchmarks.md):
+// Three knobs set what a replay costs (see docs/benchmarks.md):
 //  * ReplayOptions::materialize_pattern = false skips the PatternBuilder,
 //    the forced-checkpoint inventory and the saved-TDV extraction — the
 //    counters (messages/basic/forced/piggyback bits) are unchanged;

@@ -27,6 +27,11 @@ namespace bitdetail {
 
 inline std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
 
+// Mask of the bits a block of `bits` bits may hold in its last word.
+inline std::uint64_t tail_mask(std::size_t bits) {
+  return bits % 64 == 0 ? ~0ULL : (1ULL << (bits % 64)) - 1;
+}
+
 // Zero the bits beyond `bits` in the block's last word.
 inline void trim_tail(std::uint64_t* words, std::size_t bits) {
   if (bits % 64 != 0) words[bits / 64] &= (1ULL << (bits % 64)) - 1;
