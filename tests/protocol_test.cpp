@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "protocols/baselines.hpp"
@@ -109,6 +110,21 @@ TEST(ProtocolBase, MinGlobalCkptRequiresTdvTracking) {
   EXPECT_THROW(nras->min_global_ckpt(0), std::invalid_argument);
   const auto fdas = registry.create(ProtocolKind::kFdas, 3, 0);
   EXPECT_EQ(fdas->min_global_ckpt(0), (GlobalCkpt{{0, 0, 0}}));
+}
+
+// Whether a kind piggybacks its TDV is fixed by the kind: the constructors a
+// TDV-based kind inherits take only (num_processes, self), so none can be
+// built with an empty TDV shape (which would silence its predicate).
+TEST(ProtocolBase, TransmitsTdvIsFixedPerKind) {
+  static_assert(std::is_constructible_v<FdasProtocol, int, ProcessId>);
+  static_assert(!std::is_constructible_v<FdasProtocol, int, ProcessId, bool>);
+  static_assert(!std::is_constructible_v<FdiProtocol, int, ProcessId, bool>);
+  static_assert(!std::is_constructible_v<BhmrProtocol, int, ProcessId, bool>);
+  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  for (const ProtocolKind kind : all_protocol_kinds()) {
+    const auto p = registry.create(kind, 3, 0);
+    EXPECT_EQ(p->transmits_tdv(), p->payload_shape().tdv) << p->name();
+  }
 }
 
 TEST(Piggyback, FlatBitsPerProtocol) {
