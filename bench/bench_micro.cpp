@@ -13,23 +13,28 @@
 //    (BHMR on the random environment, n = 8, duration 400): chain
 //    analysis, R-graph closure, the definitional check and the fused
 //    junction-family pass, each on prebuilt analyses;
-//  * recovery-line computation (fixpoint vs R-graph propagation).
+//  * recovery-line computation (fixpoint vs R-graph propagation), and the
+//    online engine's recovery query at serve_live's per-session spacing.
 //
 // Unlike the experiment binaries this one has no `--json` flag: use
 // google-benchmark's native `--benchmark_format=json` /
 // `--benchmark_out=<path>` for machine-readable output.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/global_checkpoint.hpp"
 #include "core/rdt_checker.hpp"
+#include "online/engine.hpp"
 #include "protocols/registry.hpp"
 #include "recovery/recovery_line.hpp"
 #include "sim/environments.hpp"
 #include "sim/payload_arena.hpp"
 #include "sim/replay.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -242,6 +247,69 @@ void BM_RecoveryLineRGraph(benchmark::State& state) {
   }
 }
 
+// Captures a replay's pattern stream as a feedable event list.
+class StreamRecorder final : public PatternListener {
+ public:
+  void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
+    ops.push_back(StreamEvent::send(m, sender, receiver));
+  }
+  void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
+    ops.push_back(StreamEvent::deliver(m, sender, receiver));
+  }
+  void on_internal(ProcessId p) override {
+    ops.push_back(StreamEvent::internal(p));
+  }
+  void on_checkpoint(ProcessId p, CkptIndex index) override {
+    ops.push_back(StreamEvent::checkpoint(p, index));
+  }
+
+  std::vector<StreamEvent> ops;
+};
+
+// A BHMR replay's pattern stream (n = 8, the study's random environment),
+// with `lost_share` of its deliveries removed by a seeded coin.
+std::vector<StreamEvent> recovery_stream(double lost_share) {
+  StreamRecorder recorder;
+  replay(make_trace(8, 16384.0), ProtocolKind::kBhmr, {.online = &recorder});
+  Rng rng(5);
+  std::erase_if(recorder.ops, [&](const StreamEvent& e) {
+    return e.kind == EventKind::kDeliver && lost_share > 0.0 &&
+           rng.bernoulli(lost_share);
+  });
+  return std::move(recorder.ops);
+}
+
+// One recovery_line() on a standalone bounded engine after every 15
+// 64-event batches: serve_live's spacing (a query per session per 1 ms
+// against 64 µs frames at 1M events/s). Only the query is timed; the
+// engine restarts from reset() when the stream runs out. The lossy stream
+// drops serve_live's 0.1% of deliveries.
+void BM_OnlineRecoveryQuery(benchmark::State& state, double lost_share) {
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kBatchesPerQuery = 15;
+  const std::vector<StreamEvent> ops = recovery_stream(lost_share);
+  const std::span<const StreamEvent> all(ops);
+  const EngineOptions options{8, RetentionPolicy::bounded(65536)};
+  OnlineEngine engine(options);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < kBatchesPerQuery; ++b) {
+      if (at + kBatch > all.size()) {
+        engine.reset(options);
+        at = 0;
+      }
+      engine.feed(all.subspan(at, kBatch));
+      at += kBatch;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const RecoveryResult r = engine.recovery_line();
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(r.value.total_rollback);
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.counters["events"] = static_cast<double>(ops.size());
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_ProtocolReplay, nras, ProtocolKind::kNras)
@@ -269,5 +337,11 @@ BENCHMARK(BM_JunctionFamilies);
 BENCHMARK(BM_FullRdtReport)->Arg(50)->Arg(150);
 BENCHMARK(BM_RecoveryLineFixpoint)->Arg(100)->Arg(400);
 BENCHMARK(BM_RecoveryLineRGraph)->Arg(100)->Arg(400);
+// A fixed query count: with manual time, --benchmark_min_time would count
+// only the timed queries and feed tens of millions of untimed events.
+BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossless, 0.0)
+    ->UseManualTime()->Iterations(3000);
+BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossy, 0.001)
+    ->UseManualTime()->Iterations(3000);
 
 BENCHMARK_MAIN();

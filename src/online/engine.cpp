@@ -60,7 +60,7 @@ void OnlineEngine::reset(const EngineOptions& options) {
 
   node_log_.reset();
   edge_log_.reset();
-  next_node_ = 0;
+  heads_.reset();
   state_.resize(n);
   node_ids_.resize(n);
   for (ProcessId p = 0; p < options.num_processes; ++p) {
@@ -75,13 +75,11 @@ void OnlineEngine::reset(const EngineOptions& options) {
     ps.pending.assign(n, 0);
     ps.saved.reset(tdv_pool_);
     // The implicit initial checkpoint C_{p,0}.
-    ps.last_node = next_node_++;
-    node_log_.push_back(CkptId{p, 0});
+    ps.last_node = push_node(CkptId{p, 0});
     auto& t = node_ids_[static_cast<std::size_t>(p)];
     t.ids.assign(1, ps.last_node);
     t.base = 0;
   }
-  summary_nodes_.assign(n, -1);
   events_since_compact_ = 0;
   events_since_mem_probe_ = 0;
 
@@ -97,6 +95,7 @@ void OnlineEngine::reset(const EngineOptions& options) {
       std::vector<MessageState>{}.swap(msgs_);
     node_log_.release_unused_chunks();
     edge_log_.release_unused_chunks();
+    heads_.release_unused_chunks();
   }
 
   if (resized) {
@@ -130,7 +129,6 @@ void OnlineEngine::reset(const EngineOptions& options) {
     const MutexLock reader_lock(rc_.mu);
     rc_.reach.reset(retention_.enabled ? retention_.max_pooled_reach_rows
                                        : 0);
-    rc_.node_ckpt.clear();
     rc_.node_ids.resize(n);
     for (auto& t : rc_.node_ids) {
       t.ids.clear();
@@ -188,6 +186,7 @@ void OnlineEngine::publish_dirty() {
     proc_pub_[p].durable.store(ps.durable, std::memory_order_relaxed);
     proc_pub_[p].open_retained.store(ps.open_retained,
                                      std::memory_order_relaxed);
+    proc_pub_[p].frontier.store(ps.frontier, std::memory_order_relaxed);
     // proc_pub_[p].horizon is written only by compact_locked()/reset(): the
     // horizon moves at compaction, never per event.
   }
@@ -218,6 +217,9 @@ void OnlineEngine::audit_published_state() const {
     RDT_AUDIT(proc_pub_[j].open_retained.load(std::memory_order_relaxed) ==
                   ps.open_retained,
               "published open-interval event count diverged");
+    RDT_AUDIT(proc_pub_[j].frontier.load(std::memory_order_relaxed) ==
+                  ps.frontier,
+              "published frontier node diverged");
     RDT_AUDIT(proc_pub_[j].horizon.load(std::memory_order_relaxed) ==
                   node_ids_[j].base,
               "published retention horizon diverged from the id table base");
@@ -230,16 +232,32 @@ void OnlineEngine::audit_published_state() const {
 // Feeder side: event bodies. Caller holds feed_mu_ inside a WriteTicket;
 // every RDT_REQUIRE fires before the first mutation of its event.
 
+int OnlineEngine::push_node(const CkptId& c) {
+  // The head slot first: the node log's size release publishes both.
+  heads_.push_back(0);
+  node_log_.push_back(c);
+  return static_cast<int>(node_log_.size()) - 1;
+}
+
+void OnlineEngine::push_edge(int from, int to, bool message) {
+  const auto tail = static_cast<std::size_t>(from);
+  edge_log_.push_back(EdgeRec{
+      static_cast<std::uint32_t>(from),
+      (static_cast<std::uint32_t>(to) << 1) | (message ? 1u : 0u),
+      heads_.load(tail)});
+  // Released only after the edge is: a reader acquiring the new head can
+  // read the entry it names, and every entry down its prev chain.
+  heads_.store(tail, static_cast<std::uint32_t>(edge_log_.size()));
+}
+
 void OnlineEngine::ensure_frontier(ProcessId p) {
   auto& ps = state_[static_cast<std::size_t>(p)];
   if (ps.frontier != -1) return;
-  ps.frontier = next_node_++;
-  node_log_.push_back(CkptId{p, ps.durable + 1});
+  ps.frontier = push_node(CkptId{p, ps.durable + 1});
   // The process edge C_{p,durable} -> C_{p,durable+1}. After a compaction
   // that evicted C_{p,durable} itself (line == durable), last_node IS the
   // process's summary node and the edge is the collapsed stand-in.
-  edge_log_.push_back(EdgeRec{static_cast<std::uint32_t>(ps.last_node),
-                              static_cast<std::uint32_t>(ps.frontier) << 1});
+  push_edge(ps.last_node, ps.frontier, false);
   bump(recovery_epoch_, std::uint64_t{1});
 }
 
@@ -352,21 +370,15 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   ms.deliver_interval = pr.durable + 1;
   // The R-graph message edge C_{sender,send_interval} -> C_{receiver,open}.
   // A *late* edge — the send interval already evicted — collapses its tail
-  // onto the sender's summary node: the head is volatile (above every past
-  // and future line at creation), so no retained-to-retained answer can
-  // ever traverse the real tail.
-  int tail;
-  if (ms.send_interval <
-      node_ids_[static_cast<std::size_t>(sender)].base) {
-    tail = summary_nodes_[static_cast<std::size_t>(sender)];
-    RDT_ASSERT(tail >= 0);
+  // onto the sender's summary node (node `sender`, see compact_locked): the
+  // head is volatile (above every past and future line at creation), so no
+  // retained-to-retained answer can ever traverse the real tail.
+  int tail = sender;
+  if (ms.send_interval < node_ids_[static_cast<std::size_t>(sender)].base)
     bump(late_edges_, 1LL);
-  } else {
+  else
     tail = node_of({sender, ms.send_interval});
-  }
-  edge_log_.push_back(
-      EdgeRec{static_cast<std::uint32_t>(tail),
-              (static_cast<std::uint32_t>(pr.frontier) << 1) | 1u});
+  push_edge(tail, pr.frontier, true);
   bump(recovery_epoch_, std::uint64_t{1});
 
   clocks_[static_cast<std::size_t>(receiver)].tick(receiver);
@@ -581,21 +593,11 @@ bool OnlineEngine::compact() {
 bool OnlineEngine::compact_locked(long long min_evictable) {
   const auto n = static_cast<std::size_t>(num_processes());
 
-  // Phase 1: bring the reader graph fully current and run one recovery
-  // sweep on it (memoized — a subsequent recovery_line() at this epoch is
-  // free). Readers may interleave before phase 2; they see the pre-compact
-  // graph, whose answers are identical.
-  RecoveryOutcome outcome;
-  {
-    const MutexLock reader_lock(rc_.mu);
-    catch_up_reader(node_log_.size(), edge_log_.size());
-    std::vector<CkptIndex>& durable_snap = rc_.durable_snap;
-    for (std::size_t p = 0; p < n; ++p) durable_snap[p] = state_[p].durable;
-    outcome = recovery_sweep_locked();
-    rc_.recovery_memo = outcome;
-    rc_.recovery_memo_epoch = recovery_epoch_.load(std::memory_order_relaxed);
-    rc_.recovery_memo_valid = true;
-  }
+  // Phase 1: the current recovery line, swept on the published logs — with
+  // every batch committed they are the feeder's own state — and memoized.
+  // Readers may interleave before phase 2; they see the pre-compact graph,
+  // whose answers are identical.
+  const RecoveryOutcome outcome = recovery_line().value;
 
   long long evictable = 0;
   for (std::size_t p = 0; p < n; ++p)
@@ -644,49 +646,45 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
 
     // (3) R-graph rebuild. Retained nodes keep their checkpoint identity
     // and their relative log order; everything at or behind the line (and
-    // every previous summary) folds onto a fresh per-process summary node.
+    // every previous summary) folds onto a fresh per-process summary node,
+    // node p for process p. A summary node has no in-edges, so it never
+    // affects a retained answer, but it gives late edges (a delivery whose
+    // send interval was evicted) and collapsed in-edges a well-formed tail.
     // An edge survives iff its head is retained — the evicted region is
     // closed (no retained tail can point into it), so a dropped edge's tail
     // is always evicted too, and a kept edge's tail is either retained or
-    // collapses onto a summary.
+    // collapses onto a summary. push_edge relinks every out-edge chain.
     const std::size_t old_nodes = node_log_.size();
-    const std::size_t old_edges = edge_log_.size();
-    std::vector<EdgeRec> old_edge_list;
-    old_edge_list.reserve(old_edges);
-    for (std::size_t i = 0; i < old_edges; ++i)
-      old_edge_list.push_back(edge_log_[i]);
+    std::vector<CkptId> old_node_list(old_nodes);
+    for (std::size_t i = 0; i < old_nodes; ++i) old_node_list[i] = node_log_[i];
+    std::vector<EdgeRec> old_edge_list(edge_log_.size());
+    for (std::size_t i = 0; i < old_edge_list.size(); ++i)
+      old_edge_list[i] = edge_log_[i];
 
     std::vector<int> remap(old_nodes, -1);
     node_log_.reset();
-    for (ProcessId p = 0; p < num_processes(); ++p) {
-      summary_nodes_[static_cast<std::size_t>(p)] = p;
-      node_log_.push_back(CkptId{p, -1});
-    }
-    int next = num_processes();
-    for (std::size_t u = 0; u < old_nodes; ++u) {
-      const CkptId c = rc_.node_ckpt[u];
-      if (c.index >= 0 &&
-          c.index > outcome.line.indices[static_cast<std::size_t>(c.process)]) {
-        remap[u] = next++;
-        node_log_.push_back(c);
-      } else {
-        remap[u] = c.process;  // fold onto the process's summary node
-      }
-    }
-    next_node_ = next;
-    node_log_.release_unused_chunks();
-
     edge_log_.reset();
+    heads_.reset();
+    for (ProcessId p = 0; p < num_processes(); ++p) push_node(CkptId{p, -1});
+    for (std::size_t u = 0; u < old_nodes; ++u) {
+      const CkptId c = old_node_list[u];
+      if (c.index >= 0 &&
+          c.index > outcome.line.indices[static_cast<std::size_t>(c.process)])
+        remap[u] = push_node(c);
+      else
+        remap[u] = c.process;  // fold onto the process's summary node
+    }
+    node_log_.release_unused_chunks();
+    heads_.release_unused_chunks();
+
     for (const EdgeRec& e : old_edge_list) {
       const int head = remap[static_cast<std::size_t>(e.enc >> 1)];
       if (head < num_processes()) {
         ++dropped_edges;  // head evicted, and with it the whole edge
         continue;
       }
-      edge_log_.push_back(
-          EdgeRec{static_cast<std::uint32_t>(
-                      remap[static_cast<std::size_t>(e.from)]),
-                  (static_cast<std::uint32_t>(head) << 1) | (e.enc & 1u)});
+      push_edge(remap[static_cast<std::size_t>(e.from)], head,
+                (e.enc & 1u) != 0);
     }
     edge_log_.release_unused_chunks();
 
@@ -704,35 +702,19 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
       if (ps.frontier != -1)
         ps.frontier = remap[static_cast<std::size_t>(ps.frontier)];
       proc_pub_[p].horizon.store(new_base, std::memory_order_relaxed);
+      proc_pub_[p].frontier.store(ps.frontier, std::memory_order_relaxed);
     }
 
-    // (5) Reader cache rebuild over the new logs; the recovery memo stays
-    // valid — eviction changes no sweep (the epoch was not bumped).
-    const std::size_t new_nodes = node_log_.size();
-    const std::size_t new_edges = edge_log_.size();
+    // (5) Empty zreach's cache at the new horizon; its next query replays
+    // the new logs. The recovery memo stays valid — eviction changes no
+    // sweep (the epoch was not bumped).
     rc_.reach.reset(retention_.max_pooled_reach_rows);
-    rc_.node_ckpt.clear();
     for (std::size_t p = 0; p < n; ++p) {
       rc_.node_ids[p].ids.clear();
       rc_.node_ids[p].base = outcome.line.indices[p] + 1;
     }
-    for (std::size_t i = 0; i < new_nodes; ++i) {
-      const CkptId c = node_log_[i];
-      const int id = rc_.reach.add_node();
-      RDT_ASSERT(id == static_cast<int>(i));
-      rc_.node_ckpt.push_back(c);
-      if (c.index < 0) continue;  // summary nodes have no table entry
-      NodeIdTable& t = rc_.node_ids[static_cast<std::size_t>(c.process)];
-      RDT_ASSERT(c.index == t.base + static_cast<CkptIndex>(t.ids.size()));
-      t.ids.push_back(id);
-    }
-    for (std::size_t i = 0; i < new_edges; ++i) {
-      const EdgeRec e = edge_log_[i];
-      rc_.reach.add_edge(static_cast<int>(e.from),
-                         static_cast<int>(e.enc >> 1), (e.enc & 1u) != 0);
-    }
-    rc_.nodes_consumed = new_nodes;
-    rc_.edges_consumed = new_edges;
+    rc_.nodes_consumed = 0;
+    rc_.edges_consumed = 0;
 
     bump(compactions_, 1LL);
     bump(evicted_ckpts_, evictable);
@@ -782,7 +764,8 @@ std::size_t OnlineEngine::feeder_resident_bytes() const {
   // approximate at the leaves (VectorClock internals are opaque): the
   // dominant terms — logs, message window, saved-TDV windows, pools — are
   // exact, which is what the flat-RSS gate in bench_longrun leans on.
-  std::size_t bytes = node_log_.resident_bytes() + edge_log_.resident_bytes();
+  std::size_t bytes = node_log_.resident_bytes() + edge_log_.resident_bytes() +
+                      heads_.resident_bytes();
   bytes += mem::vec_bytes(msgs_);
   for (const MessageState& ms : msgs_)
     bytes += mem::vec_bytes(ms.tdv) + mem::vec_bytes(ms.deferred);
@@ -799,7 +782,7 @@ void OnlineEngine::refresh_resident_bytes() {
   std::size_t reader = 0;
   {
     const MutexLock reader_lock(rc_.mu);
-    reader = rc_.reach.resident_bytes() + mem::vec_bytes(rc_.node_ckpt);
+    reader = rc_.reach.resident_bytes();
     for (const auto& t : rc_.node_ids) reader += mem::vec_bytes(t.ids);
   }
   resident_bytes_.store(feeder_resident_bytes() + reader,
@@ -901,21 +884,18 @@ StatsResult OnlineEngine::stats() const {
 }
 
 // ---------------------------------------------------------------------------
-// Heavy queries: reader-side cache under rc_.mu.
+// Heavy queries: reader-side state under rc_.mu.
 
 void OnlineEngine::catch_up_reader(std::size_t nodes,
                                    std::size_t edges) const {
   for (; rc_.nodes_consumed < nodes; ++rc_.nodes_consumed) {
     const CkptId c = node_log_[rc_.nodes_consumed];
     const int id = rc_.reach.add_node();
-    rc_.node_ckpt.push_back(c);
-    // Summary nodes (index -1) enter the cache only through the compaction
-    // rebuild, which installs the tables directly — but tolerate them here
-    // so the replay path has one invariant, not two.
-    if (c.index < 0) continue;
+    if (c.index < 0) continue;  // summary nodes have no table entry
     auto& t = rc_.node_ids[static_cast<std::size_t>(c.process)];
-    // Per-process node indexes appear consecutively in the log (C_{p,0},
-    // then each successive frontier), so the id table needs no gaps.
+    // Per-process node indexes appear consecutively in the log (C_{p,0} or
+    // the first retained one, then each successive frontier), so the id
+    // table needs no gaps.
     RDT_ASSERT(c.index == t.base + static_cast<CkptIndex>(t.ids.size()));
     t.ids.push_back(id);
   }
@@ -960,32 +940,29 @@ ZreachResult OnlineEngine::zreach(const CkptId& from, const CkptId& to) const {
   return ZreachResult::make(rc_.reach.msg_reach(a.node, b.node));
 }
 
-RecoveryOutcome OnlineEngine::recovery_sweep_locked() const {
+RecoveryOutcome OnlineEngine::recovery_sweep_locked(
+    std::size_t nodes, std::size_t edges, std::span<const int> seeds) const {
   RDT_TRACE_SPAN("online", "recovery_sweep");
   const auto n = static_cast<std::size_t>(num_processes());
 
   // Wang's rollback propagation from the frontier seeds: restarting P_i at
   // its last durable checkpoint invalidates everything R-reachable from
-  // C_{i,durable+1} (when that interval has opened — visible to the reader
-  // as one table entry beyond the durable index).
-  std::vector<int> seeds;
-  for (std::size_t p = 0; p < n; ++p) {
-    const NodeIdTable& t = rc_.node_ids[p];
-    if (t.base + static_cast<CkptIndex>(t.ids.size()) ==
-        rc_.durable_snap[p] + 2)
-      seeds.push_back(t.ids.back());
-  }
-
+  // C_{i,durable+1} (when that interval has opened). A node's out-edges are
+  // its chain down from heads_; edges the feeder linked in front since the
+  // snapshot (index >= edges) are skipped, so the walk stays inside it.
   std::vector<CkptIndex> min_invalid(n, std::numeric_limits<CkptIndex>::max());
-  // Aliases bound under rc_.mu for the propagate_rollback callbacks (the
-  // lambda-vs-TSA idiom from util/thread_annotations.hpp).
-  const IncrementalReach& reach = rc_.reach;
-  const std::vector<CkptId>& node_ckpt = rc_.node_ckpt;
   propagate_rollback(
-      rc_.scratch, reach.num_nodes(), seeds,
-      [&](int u, auto&& emit) { reach.for_each_successor(u, emit); },
+      rc_.scratch, static_cast<int>(nodes), seeds,
+      [&](int u, auto&& emit) {
+        for (std::uint32_t e = heads_.load(static_cast<std::size_t>(u));
+             e != 0;) {
+          const EdgeRec& r = edge_log_[e - 1];
+          if (e <= edges) emit(static_cast<int>(r.enc >> 1));
+          e = r.prev;
+        }
+      },
       [&](int u) {
-        const CkptId c = node_ckpt[static_cast<std::size_t>(u)];
+        const CkptId c = node_log_[static_cast<std::size_t>(u)];
         if (c.index < 0) return;  // summary nodes have no in-edges; unreachable
         CkptIndex& m = min_invalid[static_cast<std::size_t>(c.process)];
         m = std::min(m, c.index);
@@ -1021,22 +998,27 @@ RecoveryResult OnlineEngine::recovery_line() const {
     std::size_t nodes = 0, edges = 0;
   };
   // TSA analyzes the lambda as a separate function that does not hold
-  // rc_.mu; bind the scratch vector under the lock and capture the alias
+  // rc_.mu; bind the scratch vectors under the lock and capture the aliases
   // (the house idiom from util/thread_annotations.hpp).
   std::vector<CkptIndex>& durable_snap = rc_.durable_snap;
+  std::vector<int>& seeds = rc_.seeds;
   const Snap snap = read_stable([&] {
     Snap s;
     s.epoch = recovery_epoch_.load(std::memory_order_relaxed);
     s.nodes = node_log_.size_published();
     s.edges = edge_log_.size_published();
-    for (std::size_t p = 0; p < n; ++p)
+    seeds.clear();
+    for (std::size_t p = 0; p < n; ++p) {
       durable_snap[p] = proc_pub_[p].durable.load(std::memory_order_relaxed);
+      const int f = proc_pub_[p].frontier.load(std::memory_order_relaxed);
+      if (f != -1) seeds.push_back(f);
+    }
     return s;
   });
   if (rc_.recovery_memo_valid && rc_.recovery_memo_epoch == snap.epoch)
     return RecoveryResult::make(rc_.recovery_memo);
-  catch_up_reader(snap.nodes, snap.edges);
-  const RecoveryOutcome out = recovery_sweep_locked();
+  const RecoveryOutcome out =
+      recovery_sweep_locked(snap.nodes, snap.edges, seeds);
   rc_.recovery_memo = out;
   rc_.recovery_memo_epoch = snap.epoch;
   rc_.recovery_memo_valid = true;

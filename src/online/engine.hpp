@@ -29,7 +29,8 @@
 //   * R-graph  — nodes are created lazily: C_{p,0} up front, then the
 //                *frontier* node C_{p,durable+1} on the first event of each
 //                open interval; nodes and edges go into append-only
-//                published logs that reader threads replay into their own
+//                published logs that chain each node's out-edges, walked
+//                in place; only zreach replays them into a reader-side
 //                IncrementalReach (rgraph/incremental.hpp).
 //   * RDT      — Wang's MM characterization (the minimal one: every
 //                two-message chain across a non-causal junction must be
@@ -42,7 +43,7 @@
 //                pending starts the live TDV has not yet covered, so the
 //                RDT verdict is two counter reads.
 //   * Recovery — one propagate_rollback() sweep (recovery/rollback.hpp)
-//                on the reader-side graph, memoized per graph epoch.
+//                straight off the published logs, memoized per graph epoch.
 //
 // Amortized cost is O(1) per event in history length: every closure row
 // consumes every edge once, junction work is per junction, and all other
@@ -63,10 +64,11 @@
 //     live_clock are wait-free apart from that retry;
 //     events_consumed/current_interval are single atomic loads.
 //   * The heavy queries (recovery_line, zreach) serialize on a separate
-//     reader-side mutex guarding a lazily caught-up closure cache and the
-//     memoized rollback sweep; they snapshot only O(n) counters under the
-//     seqlock and then compute on immutable log prefixes, so the feeder is
-//     again never blocked — a query observes the engine as of its snapshot.
+//     reader-side mutex guarding the memoized rollback sweep and zreach's
+//     lazily caught-up closure cache; they snapshot only O(n) counters under
+//     the seqlock and then compute on immutable log prefixes, so the feeder
+//     is again never blocked — a query observes the engine as of its
+//     snapshot (the sweep skips edges linked in after it).
 //   * A query overlapping a feed() batch retries until the batch commits;
 //     batches bound the retry window, so prefer moderate batch sizes when
 //     readers poll latency-sensitively.
@@ -89,12 +91,12 @@
 //    interval closes, and every new edge's head is volatile at creation —
 //    so once no volatile node reaches C_{p,x}, none ever will, and a
 //    checkpoint at or behind the line stays there forever.
-//  * The evicted region is closed. Any node that reaches a valid node is
-//    itself valid (reaching an invalid... conversely: a retained node can
-//    never have an edge to an evicted one, because the edge would make the
-//    evicted head's validity imply the tail's). Hence dropping the evicted
-//    prefix changes no retained-to-retained Z-path, no recovery sweep, and
-//    no junction verdict — every query about retained state is bit-identical
+//  * The evicted region is closed. Every retained node lies above the line,
+//    so the sweep invalidates it, while every evicted node stays valid.
+//    Rollback carries invalidity along every edge, so no retained node has
+//    an edge into the evicted region. Hence dropping the evicted prefix
+//    changes no retained-to-retained Z-path, no recovery sweep, and no
+//    junction verdict — every query about retained state is bit-identical
 //    to a keep-all engine, which RDT_AUDITS builds cross-check against a
 //    shadow unevicted twin at every compaction.
 // Queries about evicted checkpoints are unanswerable by design, so the
@@ -322,10 +324,12 @@ class OnlineEngine final : public PatternListener {
     std::vector<std::pair<ProcessId, CkptIndex>> deferred;
   };
 
-  // R-graph edge as logged for readers: tail node and (head << 1) | message.
+  // R-graph edge as logged for readers: tail node, (head << 1) | message,
+  // and the tail's previous out-edge (edge index + 1, 0 = none).
   struct EdgeRec {
     std::uint32_t from = 0;
     std::uint32_t enc = 0;
+    std::uint32_t prev = 0;
   };
 
   // Per-process atomic mirrors of the feeder fields queries read.
@@ -335,6 +339,8 @@ class OnlineEngine final : public PatternListener {
     // first_retained(p): smallest retained checkpoint index (the retention
     // horizon). 0 until a compaction advances it.
     std::atomic<CkptIndex> horizon{0};
+    // ProcessState::frontier, the recovery sweep's seed for p.
+    std::atomic<int> frontier{-1};
   };
 
   // [p]: engine node of C_{p,x} at ids[x - base]; base is the retention
@@ -371,19 +377,18 @@ class OnlineEngine final : public PatternListener {
   template <typename Fn>
   auto read_stable(Fn&& fn) const -> decltype(fn());
 
-  // Lazily caught-up reader-side view of the R-graph plus the memoized
-  // rollback sweep. Guarded by its own mutex: heavy queries serialize with
+  // The memoized rollback sweep plus zreach's lazily caught-up closure of
+  // the R-graph. Guarded by its own mutex: heavy queries serialize with
   // each other here, never with the feeder.
   struct ReaderCache {
     AnnotatedMutex mu;
     IncrementalReach reach RDT_GUARDED_BY(mu);
-    // engine node -> checkpoint (index -1 marks a per-process summary node)
-    std::vector<CkptId> node_ckpt RDT_GUARDED_BY(mu);
     std::vector<NodeIdTable> node_ids RDT_GUARDED_BY(mu);
     std::size_t nodes_consumed RDT_GUARDED_BY(mu) = 0;
     std::size_t edges_consumed RDT_GUARDED_BY(mu) = 0;
-    // scratch for snapshots
+    // scratch for snapshots: durable indices and the frontier seeds
     std::vector<CkptIndex> durable_snap RDT_GUARDED_BY(mu);
+    std::vector<int> seeds RDT_GUARDED_BY(mu);
     RollbackScratch scratch RDT_GUARDED_BY(mu);
     RecoveryOutcome recovery_memo RDT_GUARDED_BY(mu);
     std::uint64_t recovery_memo_epoch RDT_GUARDED_BY(mu) = 0;
@@ -414,6 +419,10 @@ class OnlineEngine final : public PatternListener {
   void refresh_resident_bytes() RDT_REQUIRES(feed_mu_);
   std::size_t feeder_resident_bytes() const RDT_REQUIRES(feed_mu_);
 
+  // The only appends to the R-graph logs: push_node returns the new node's
+  // id, push_edge links the edge in front of its tail's out-edge chain.
+  int push_node(const CkptId& c) RDT_REQUIRES(feed_mu_);
+  void push_edge(int from, int to, bool message) RDT_REQUIRES(feed_mu_);
   void ensure_frontier(ProcessId p) RDT_REQUIRES(feed_mu_);
   int node_of(const CkptId& c) const RDT_REQUIRES(feed_mu_);  // feeder side
   // Verdict for one MM junction: the two-message chain entering target's
@@ -430,7 +439,7 @@ class OnlineEngine final : public PatternListener {
   // RDT_AUDITS-only: recompute every mirror from the feeder state.
   void audit_published_state() const RDT_REQUIRES(feed_mu_);
 
-  // Reader side; caller holds rc_.mu.
+  // Reader side; caller holds rc_.mu. zreach's closure replay.
   void catch_up_reader(std::size_t nodes, std::size_t edges) const
       RDT_REQUIRES(rc_.mu);
   // Horizon-aware checkpoint-id resolution against the reader tables.
@@ -439,9 +448,12 @@ class OnlineEngine final : public PatternListener {
     int node = -1;
   };
   NodeLookup reader_lookup(const CkptId& c) const RDT_REQUIRES(rc_.mu);
-  // One rollback sweep over the caught-up reader graph using
-  // rc_.durable_snap (caller fills it); bumps rc_.recovery_sweeps.
-  RecoveryOutcome recovery_sweep_locked() const RDT_REQUIRES(rc_.mu);
+  // One rollback sweep from `seeds` over the logs' first `nodes` nodes and
+  // `edges` edges, with rc_.durable_snap (caller fills it) as the durable
+  // indices; bumps rc_.recovery_sweeps.
+  RecoveryOutcome recovery_sweep_locked(std::size_t nodes, std::size_t edges,
+                                        std::span<const int> seeds) const
+      RDT_REQUIRES(rc_.mu);
 
   mutable AnnotatedMutex feed_mu_;  // serializes feeders (on_* / feed)
 
@@ -468,13 +480,6 @@ class OnlineEngine final : public PatternListener {
   std::vector<Tdv> tdv_pool_ RDT_GUARDED_BY(feed_mu_);
   std::vector<VectorClock> clock_pool_ RDT_GUARDED_BY(feed_mu_);
   std::vector<NodeIdTable> node_ids_ RDT_GUARDED_BY(feed_mu_);
-  // Engine node of each process's summary node (-1 before the first
-  // compaction). A summary node stands for the whole evicted prefix of its
-  // process: it has no in-edges, so it can never affect a retained answer,
-  // but it gives late edges (a delivery whose send interval was evicted)
-  // and the collapsed in-edges of retained nodes a well-formed tail.
-  std::vector<int> summary_nodes_ RDT_GUARDED_BY(feed_mu_);
-  int next_node_ RDT_GUARDED_BY(feed_mu_) = 0;
   // Events applied since the last compaction attempt / resident probe.
   long long events_since_compact_ RDT_GUARDED_BY(feed_mu_) = 0;
   long long events_since_mem_probe_ RDT_GUARDED_BY(feed_mu_) = 0;
@@ -489,6 +494,8 @@ class OnlineEngine final : public PatternListener {
   std::atomic<std::uint64_t> recovery_epoch_{0};
   PublishedLog<CkptId> node_log_;   // engine node -> checkpoint, append order
   PublishedLog<EdgeRec> edge_log_;
+  // [u]: index + 1 of node u's latest out-edge in edge_log_, 0 = none.
+  PublishedHeads heads_;
   std::unique_ptr<std::atomic<CkptIndex>[]> tdv_pub_;      // n*n, row-major
   std::unique_ptr<std::atomic<std::int64_t>[]> clock_pub_; // n*n, row-major
   std::unique_ptr<PubProc[]> proc_pub_;

@@ -3,13 +3,13 @@
 //
 // Wang's rule: rolling P_i back to C_{i,x} invalidates every checkpoint
 // R-reachable from C_{i,x+1}. propagate_rollback() runs that multi-source
-// sweep over any adjacency (a finished RGraph or the engine's growing
-// incremental graph) and reports each invalidated node exactly once.
+// sweep over any adjacency (a finished RGraph or the out-edge chains of the
+// engine's published logs) and reports each invalidated node exactly once.
 //
 // The scratch object makes repeated sweeps cheap for a long-lived caller:
 // the visited set is a stamped-generation array, so a new sweep is O(live
-// frontier) with no O(V) clear — the online engine recomputes its recovery
-// line this way after every checkpoint without touching dead state.
+// frontier) with no O(V) clear — the online engine reruns it per graph-epoch
+// miss of its recovery_line() memo, which compaction also asks.
 #pragma once
 
 #include <span>

@@ -116,13 +116,6 @@ void IncrementalReach::catch_up(int from, Row& row) {
   }
 }
 
-bool IncrementalReach::reach(int from, int to) {
-  RDT_REQUIRE(to >= 0 && to < num_nodes(), "node id out of range");
-  const Row& row = row_for(from);
-  return test_bit(row.l0, static_cast<std::uint32_t>(to)) ||
-         test_bit(row.l1, static_cast<std::uint32_t>(to));
-}
-
 bool IncrementalReach::msg_reach(int from, int to) {
   RDT_REQUIRE(to >= 0 && to < num_nodes(), "node id out of range");
   return test_bit(row_for(from).l1, static_cast<std::uint32_t>(to));

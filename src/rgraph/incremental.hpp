@@ -1,19 +1,18 @@
 // Incrementally extended two-layer reachability over a growing R-graph.
 //
-// IncrementalReach is the online engine's closure: nodes and edges are
+// IncrementalReach serves the online engine's zreach: nodes and edges are
 // appended one at a time (never removed — an R-graph only grows as the
-// computation runs), and both closure relations stay queryable after every
-// append. The batch ReachabilityClosure (rgraph/reachability.hpp) derives
-// the same two relations independently, by SCC condensation:
-//  * reach(a, b)     — an R-path (possibly empty) from a to b;
-//  * msg_reach(a, b) — an R-path from a to b with >= 1 message edge.
+// computation runs), and msg_reach(a, b) — an R-path from a to b with >= 1
+// message edge, as the batch ReachabilityClosure (rgraph/reachability.hpp)
+// derives it by SCC condensation — stays queryable after every append. The
+// engine's recovery sweep walks its published logs in place instead.
 //
 // Representation: per source node, two bit layers
 //   l0 = nodes reachable via paths with NO message edge (process edges only);
 //   l1 = nodes reachable via paths with >= 1 message edge;
-// so reach = l0 | l1 (l0 is reflexive) and msg_reach = l1. The split makes
-// the "at least one message edge" qualifier a plain 2-state product
-// construction instead of a separate fixpoint.
+// so msg_reach = l1 (l0 is reflexive). The split makes the "at least one
+// message edge" qualifier a plain 2-state product construction instead of
+// a separate fixpoint.
 //
 // Incrementality: every appended edge goes into a global typed edge log.
 // A source row is materialized lazily on first query and then *catches up*
@@ -41,7 +40,6 @@ class IncrementalReach {
   IncrementalReach() = default;
 
   int num_nodes() const { return static_cast<int>(adj_.size()); }
-  int num_edges() const { return static_cast<int>(edges_.size()); }
 
   // Append a new node; returns its id (dense, starting at 0).
   int add_node();
@@ -52,31 +50,21 @@ class IncrementalReach {
   // materialized closure rows into an internal pool (their word buffers
   // keep their capacity) and trims the pool to that cap — the engine's
   // compaction pass rebuilds the graph through this, so the post-rebuild
-  // queries re-materialize rows without reallocating. reset() alone pools
+  // queries re-materialize rows without reallocating. reset(0) pools
   // nothing and frees any existing pool: full release.
-  void reset() { reset(0); }
   void reset(std::size_t max_pooled_rows);
 
   // Append a directed edge. Both endpoints must already exist. Duplicate
   // edges are tolerated (they cost one log entry each but change nothing).
   void add_edge(int from, int to, bool message);
 
-  // Closure queries. Non-const: the first query for a source materializes
-  // its row, later ones catch it up with the edge log.
-  bool reach(int from, int to);
+  // Closure query. Non-const: the first query for a source materializes its
+  // row, later ones catch it up with the edge log.
   bool msg_reach(int from, int to);
 
   // Heap payload of the graph: adjacency, edge log, materialized and pooled
   // closure rows (capacities, per util/mem_accounting.hpp's convention).
   std::size_t resident_bytes() const;
-
-  // Forward adjacency walk (for rollback propagation); fn(successor) may be
-  // called more than once per successor if duplicate edges were appended.
-  template <typename Fn>
-  void for_each_successor(int node, Fn&& fn) const {
-    for (const std::uint32_t enc : adj_[static_cast<std::size_t>(node)])
-      fn(static_cast<int>(enc >> 1));
-  }
 
  private:
   // One source node's closure state. l0/l1 are word arrays sized lazily to

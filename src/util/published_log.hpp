@@ -1,8 +1,9 @@
-// Append-only single-writer log with lock-free readers.
+// Append-only single-writer log with lock-free readers, and the per-node
+// slot array published beside it.
 //
 // The online engine's feeder thread appends R-graph nodes and edges here;
-// any number of reader threads replay stable prefixes into their own caches
-// without ever blocking the feeder. Two properties make that safe:
+// any number of reader threads walk stable prefixes without ever blocking
+// the feeder. Two properties make that safe:
 //
 //  * Stable addresses. Storage is a spine of geometrically growing chunks
 //    (2^10, 2^11, ... entries), never reallocated, so an entry's address is
@@ -15,50 +16,48 @@
 //    its chunk pointer, so every access is either atomic or ordered — clean
 //    under TSan.
 //
+// PublishedHeads is the mutable companion: one std::atomic<std::uint32_t>
+// slot per entry of a PublishedLog, on the same spine, which the writer may
+// overwrite at any time (release) and readers load (acquire). It publishes
+// no count of its own: the writer appends a slot before the companion log's
+// entry, so a reader touches slot i only below a count it acquired from that
+// log, whose release store also orders the slot's chunk pointer.
+//
 // Contract: exactly ONE writer thread (external synchronization, e.g. the
-// engine's feed mutex); entries are immutable once published.
+// engine's feed mutex); log entries are immutable once published.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
 namespace rdt {
 
+// The writer-side storage both containers share: a count over a spine of
+// chunks. Chunk k holds entries [2^(10+k) - 2^10, 2^(10+k+1) - 2^10), so
+// the (chunk, offset) of a global index falls out of one bit_width.
 template <typename T>
-class PublishedLog {
+class ChunkedArray {
  public:
-  PublishedLog() = default;
-  PublishedLog(const PublishedLog&) = delete;
-  PublishedLog& operator=(const PublishedLog&) = delete;
-
   // Writer-side count (callable only by the writer).
   std::size_t size() const { return count_; }
 
-  // Reader-side count: entries [0, size_published()) are safe to read.
-  std::size_t size_published() const {
-    return size_.load(std::memory_order_acquire);
-  }
-
-  // Valid for i < size_published() (readers) or i < size() (the writer).
-  const T& operator[](std::size_t i) const {
+  T& operator[](std::size_t i) const {
     const Loc loc = locate(i);
     return chunks_[loc.chunk][loc.offset];
   }
 
-  // Writer only, and only while no reader holds a prefix: rewinds the log
-  // to empty but keeps every allocated chunk, so refilling after a reset
-  // reuses the old storage. Entries above the new count become writable
-  // again — the "immutable once published" guarantee restarts from here,
-  // which is why concurrent readers are excluded (the engine's reset()
-  // contract, not a lock, enforces that).
-  void reset() {
-    count_ = 0;
-    size_.store(0, std::memory_order_release);
-  }
+  // Writer only, and only while no reader holds a prefix: rewinds to empty
+  // but keeps every allocated chunk, so refilling after a reset reuses the
+  // old storage. Entries above the new count become writable again — the
+  // "immutable once published" guarantee restarts from here, which is why
+  // concurrent readers are excluded (the engine's reset() contract, not a
+  // lock, enforces that).
+  void reset() { count_ = 0; }
 
   // Writer only, same exclusion contract as reset(): frees every chunk that
   // lies entirely above the current count. reset() deliberately keeps the
@@ -81,14 +80,13 @@ class PublishedLog {
     return bytes;
   }
 
-  // Writer only.
-  void push_back(T v) {
-    const Loc loc = locate(count_);
+ protected:
+  // Writer only: the next slot, its chunk allocated on first touch.
+  T& append() {
+    const Loc loc = locate(count_++);
     auto& chunk = chunks_[loc.chunk];
     if (!chunk) chunk = std::make_unique<T[]>(capacity_of(loc.chunk));
-    chunk[loc.offset] = std::move(v);
-    ++count_;
-    size_.store(count_, std::memory_order_release);
+    return chunk[loc.offset];
   }
 
  private:
@@ -100,8 +98,6 @@ class PublishedLog {
     std::size_t offset;
   };
 
-  // Chunk k holds entries [2^(10+k) - 2^10, 2^(10+k+1) - 2^10), so the
-  // (chunk, offset) of a global index falls out of one bit_width.
   static Loc locate(std::size_t i) {
     const std::size_t v = i + (std::size_t{1} << kBaseLog2);
     const auto k = static_cast<std::size_t>(std::bit_width(v)) - 1;
@@ -113,8 +109,60 @@ class PublishedLog {
   }
 
   std::array<std::unique_ptr<T[]>, kMaxChunks> chunks_;
-  std::size_t count_ = 0;                  // writer's private count
-  std::atomic<std::size_t> size_{0};       // published count
+  std::size_t count_ = 0;  // writer's private count
+};
+
+template <typename T>
+class PublishedLog : private ChunkedArray<T> {
+ public:
+  using ChunkedArray<T>::size;
+  using ChunkedArray<T>::release_unused_chunks;
+  using ChunkedArray<T>::resident_bytes;
+
+  // Reader-side count: entries [0, size_published()) are safe to read.
+  std::size_t size_published() const {
+    return size_.load(std::memory_order_acquire);
+  }
+
+  // Valid for i < size_published() (readers) or i < size() (the writer).
+  const T& operator[](std::size_t i) const {
+    return ChunkedArray<T>::operator[](i);
+  }
+
+  void reset() {
+    ChunkedArray<T>::reset();
+    size_.store(0, std::memory_order_release);
+  }
+
+  // Writer only.
+  void push_back(T v) {
+    this->append() = std::move(v);
+    size_.store(this->size(), std::memory_order_release);
+  }
+
+ private:
+  std::atomic<std::size_t> size_{0};  // published count
+};
+
+// Mutable per-entry slots beside a PublishedLog (see the file comment).
+class PublishedHeads : private ChunkedArray<std::atomic<std::uint32_t>> {
+ public:
+  using ChunkedArray::reset;
+  using ChunkedArray::release_unused_chunks;
+  using ChunkedArray::resident_bytes;
+
+  // Writer only: append a slot holding v, BEFORE the companion log's entry.
+  void push_back(std::uint32_t v) {
+    append().store(v, std::memory_order_release);
+  }
+  // Writer only, i below its count.
+  void store(std::size_t i, std::uint32_t v) {
+    (*this)[i].store(v, std::memory_order_release);
+  }
+  // The writer, or a reader below a companion-log count it acquired.
+  std::uint32_t load(std::size_t i) const {
+    return (*this)[i].load(std::memory_order_acquire);
+  }
 };
 
 }  // namespace rdt

@@ -1,11 +1,12 @@
 // Prefix compaction vs a keep-all engine: a retention-enabled OnlineEngine,
 // compacted at arbitrary stream positions, must stay bit-identical on every
 // query about retained state — across all protocol kinds, three
-// environments and several seeds — while queries behind the retention
-// horizon report kEvicted (never a guessed answer). Plus the exact horizon
-// boundary (the at-line checkpoint is evicted, line+1 is retained), the
-// automatic compaction cadence, the keep-all no-op contract, and the
-// retention caps a reset() applies to recycled capacity.
+// environments and several seeds, also with 1% of the deliveries lost —
+// while queries behind the retention horizon report kEvicted (never a
+// guessed answer). Plus the exact horizon boundary (the at-line checkpoint
+// is evicted, line+1 is retained), the automatic compaction cadence, the
+// keep-all no-op contract, and the retention caps a reset() applies to
+// recycled capacity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,34 +20,13 @@
 #include "protocols/registry.hpp"
 #include "sim/environments.hpp"
 #include "sim/replay.hpp"
+#include "stream_fixtures.hpp"
 
 namespace rdt {
 namespace {
 
-// Captures a builder's append stream as a replayable event list.
-class Recorder final : public PatternListener {
- public:
-  void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::send(m, sender, receiver));
-  }
-  void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::deliver(m, sender, receiver));
-  }
-  void on_internal(ProcessId p) override {
-    ops.push_back(StreamEvent::internal(p));
-  }
-  void on_checkpoint(ProcessId p, CkptIndex index) override {
-    ops.push_back(StreamEvent::checkpoint(p, index));
-  }
-
-  std::vector<StreamEvent> ops;
-};
-
-std::vector<StreamEvent> record_replay(const Trace& trace, ProtocolKind kind) {
-  Recorder recorder;
-  replay(trace, kind, {.online = &recorder});
-  return recorder.ops;
-}
+using test::drop_deliveries;
+using test::record_replay;
 
 // Manual-only compaction with no eviction floor: compact() folds whatever
 // the recovery line allows, which makes every boundary observable.
@@ -147,7 +127,18 @@ void check_compaction_equivalence(int num_processes,
   EXPECT_TRUE(compacted.retention_stats().enabled);
 }
 
-TEST(CompactionEquivalence, RandomEnvAllProtocolsAllSeeds) {
+// The equivalence sweeps over the three environment families. The lossy
+// variant removes a seeded 1% of each recorded stream's deliveries (at
+// least one) and adds the count to *dropped: a lost send stays in flight
+// for good and pins the message window behind it.
+void feed_stream(int num_processes, std::vector<StreamEvent> ops,
+                 std::uint64_t seed, long long* dropped) {
+  if (dropped != nullptr) *dropped += drop_deliveries(ops, seed);
+  check_compaction_equivalence(num_processes, ops,
+                               static_cast<std::uint32_t>(seed));
+}
+
+void random_env_sweep(long long* dropped) {
   for (const ProtocolKind kind : all_protocol_kinds()) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id + " seed " +
@@ -157,15 +148,15 @@ TEST(CompactionEquivalence, RandomEnvAllProtocolsAllSeeds) {
       cfg.duration = 12.0;
       cfg.basic_ckpt_mean = 5.0;
       cfg.seed = seed;
-      check_compaction_equivalence(
-          cfg.num_processes, record_replay(random_environment(cfg), kind),
-          static_cast<std::uint32_t>(seed));
+      feed_stream(cfg.num_processes,
+                  record_replay(random_environment(cfg), kind), seed,
+                  dropped);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
-TEST(CompactionEquivalence, GroupEnvAllProtocols) {
+void group_env_sweep(long long* dropped) {
   GroupEnvConfig cfg;
   cfg.num_groups = 2;
   cfg.group_size = 3;
@@ -175,14 +166,14 @@ TEST(CompactionEquivalence, GroupEnvAllProtocols) {
   for (const ProtocolKind kind : all_protocol_kinds()) {
     SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id);
     cfg.seed += 1;
-    check_compaction_equivalence(
-        cfg.num_processes(), record_replay(group_environment(cfg), kind),
-        static_cast<std::uint32_t>(cfg.seed));
+    feed_stream(cfg.num_processes(),
+                record_replay(group_environment(cfg), kind), cfg.seed,
+                dropped);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(CompactionEquivalence, ClientServerEnvAllProtocols) {
+void client_server_env_sweep(long long* dropped) {
   ClientServerEnvConfig cfg;
   cfg.num_servers = 3;
   cfg.num_requests = 8;
@@ -190,12 +181,31 @@ TEST(CompactionEquivalence, ClientServerEnvAllProtocols) {
   for (const ProtocolKind kind : all_protocol_kinds()) {
     SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id);
     cfg.seed += 1;
-    check_compaction_equivalence(
-        cfg.num_processes(),
-        record_replay(client_server_environment(cfg), kind),
-        static_cast<std::uint32_t>(cfg.seed));
+    feed_stream(cfg.num_processes(),
+                record_replay(client_server_environment(cfg), kind),
+                cfg.seed, dropped);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(CompactionEquivalence, RandomEnvAllProtocolsAllSeeds) {
+  random_env_sweep(nullptr);
+}
+
+TEST(CompactionEquivalence, GroupEnvAllProtocols) { group_env_sweep(nullptr); }
+
+TEST(CompactionEquivalence, ClientServerEnvAllProtocols) {
+  client_server_env_sweep(nullptr);
+}
+
+TEST(CompactionEquivalence, LossyDeliveriesAllEnvironmentsAllProtocols) {
+  long long dropped = 0;
+  random_env_sweep(&dropped);
+  if (HasFatalFailure()) return;
+  group_env_sweep(&dropped);
+  if (HasFatalFailure()) return;
+  client_server_env_sweep(&dropped);
+  EXPECT_GT(dropped, 0);
 }
 
 // The horizon boundary, pinned exactly: after a compaction the checkpoint

@@ -40,6 +40,7 @@ struct BadCase {
 constexpr BadCase kBadCases[] = {
     {"bad_ticket_plain_member.cc", "ticket-atomics"},
     {"bad_ticket_container.cc", "ticket-atomics"},
+    {"bad_ticket_plain_heads.cc", "ticket-atomics"},
     {"bad_bare_mutex.cc", "bare-mutex"},
     {"bad_bare_lock_guard.cc", "bare-mutex"},
     {"bad_obs_include.cc", "obs-hot-path"},

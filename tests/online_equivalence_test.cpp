@@ -3,17 +3,22 @@
 // the full batch analysis on the *closed prefix* — the events observed so
 // far minus the sends of still-in-flight messages, finalized with virtual
 // checkpoints — at EVERY prefix of the stream, across all protocol kinds,
-// three environments and several seeds; plus hand-built edge cases, a
-// batched-vs-single bit-identity sweep over feed() batch sizes, the
-// precondition-failure contract, and TSan-covered concurrent-reader cases
+// three environments and several seeds, each also with 1% of its
+// deliveries lost; plus hand-built edge cases, a batched-vs-single
+// bit-identity sweep over feed() batch sizes, the precondition-failure
+// contract, and TSan-covered concurrent-reader cases whose every recovery
+// answer must be one a serial twin gave at a batch boundary
 // (OnlineConcurrency.*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <latch>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ccp/builder.hpp"
@@ -25,28 +30,13 @@
 #include "recovery/recovery_line.hpp"
 #include "sim/environments.hpp"
 #include "sim/replay.hpp"
+#include "stream_fixtures.hpp"
 
 namespace rdt {
 namespace {
 
-// Captures a builder's append stream as a replayable event list.
-class Recorder final : public PatternListener {
- public:
-  void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::send(m, sender, receiver));
-  }
-  void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::deliver(m, sender, receiver));
-  }
-  void on_internal(ProcessId p) override {
-    ops.push_back(StreamEvent::internal(p));
-  }
-  void on_checkpoint(ProcessId p, CkptIndex index) override {
-    ops.push_back(StreamEvent::checkpoint(p, index));
-  }
-
-  std::vector<StreamEvent> ops;
-};
+using test::drop_deliveries;
+using test::record_replay;
 
 void feed_one(OnlineEngine& engine, const StreamEvent& op) {
   switch (op.kind) {
@@ -168,63 +158,80 @@ void check_all_prefixes(int num_processes,
   }
 }
 
-std::vector<StreamEvent> record_replay(const Trace& trace, ProtocolKind kind) {
-  Recorder recorder;
-  replay(trace, kind, {.online = &recorder});
-  return recorder.ops;
+// The equivalence sweep over one environment family: every protocol kind
+// on seeds 1..8, `make(seed)` giving (process count, trace). The lossy
+// variant drops a seeded 1% of each recorded stream's deliveries (at least
+// one) and returns how many it dropped in total.
+template <typename MakeTrace>
+long long check_environment(MakeTrace make, bool lossy) {
+  long long dropped = 0;
+  for (const ProtocolKind kind : all_protocol_kinds()) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id + " seed " +
+                   std::to_string(seed));
+      const auto [num_processes, trace] = make(seed);
+      std::vector<StreamEvent> ops = record_replay(trace, kind);
+      if (lossy) dropped += drop_deliveries(ops, seed);
+      check_all_prefixes(num_processes, ops);
+      if (::testing::Test::HasFatalFailure()) return dropped;
+    }
+  }
+  return dropped;
+}
+
+std::pair<int, Trace> random_env(std::uint64_t seed) {
+  RandomEnvConfig cfg;
+  cfg.num_processes = 4;
+  cfg.duration = 12.0;
+  cfg.basic_ckpt_mean = 5.0;
+  cfg.seed = seed;
+  return {cfg.num_processes, random_environment(cfg)};
+}
+
+std::pair<int, Trace> group_env(std::uint64_t seed) {
+  GroupEnvConfig cfg;
+  cfg.num_groups = 2;
+  cfg.group_size = 3;
+  cfg.overlap = 1;
+  cfg.duration = 10.0;
+  cfg.basic_ckpt_mean = 5.0;
+  cfg.seed = seed;
+  return {cfg.num_processes(), group_environment(cfg)};
+}
+
+std::pair<int, Trace> client_server_env(std::uint64_t seed) {
+  ClientServerEnvConfig cfg;
+  cfg.num_servers = 3;
+  cfg.num_requests = 8;
+  cfg.basic_ckpt_mean = 5.0;
+  cfg.seed = seed;
+  return {cfg.num_processes(), client_server_environment(cfg)};
 }
 
 TEST(OnlineEquivalence, RandomEnvironmentAllProtocolsAllSeeds) {
-  for (const ProtocolKind kind : all_protocol_kinds()) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id + " seed " +
-                   std::to_string(seed));
-      RandomEnvConfig cfg;
-      cfg.num_processes = 4;
-      cfg.duration = 12.0;
-      cfg.basic_ckpt_mean = 5.0;
-      cfg.seed = seed;
-      check_all_prefixes(cfg.num_processes,
-                         record_replay(random_environment(cfg), kind));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  check_environment(random_env, false);
 }
 
 TEST(OnlineEquivalence, GroupEnvironmentAllProtocolsAllSeeds) {
-  for (const ProtocolKind kind : all_protocol_kinds()) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id + " seed " +
-                   std::to_string(seed));
-      GroupEnvConfig cfg;
-      cfg.num_groups = 2;
-      cfg.group_size = 3;
-      cfg.overlap = 1;
-      cfg.duration = 10.0;
-      cfg.basic_ckpt_mean = 5.0;
-      cfg.seed = seed;
-      check_all_prefixes(cfg.num_processes(),
-                         record_replay(group_environment(cfg), kind));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  check_environment(group_env, false);
 }
 
 TEST(OnlineEquivalence, ClientServerEnvironmentAllProtocolsAllSeeds) {
-  for (const ProtocolKind kind : all_protocol_kinds()) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id + " seed " +
-                   std::to_string(seed));
-      ClientServerEnvConfig cfg;
-      cfg.num_servers = 3;
-      cfg.num_requests = 8;
-      cfg.basic_ckpt_mean = 5.0;
-      cfg.seed = seed;
-      check_all_prefixes(cfg.num_processes(),
-                         record_replay(client_server_environment(cfg), kind));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  check_environment(client_server_env, false);
+}
+
+// Lost deliveries: the sends stay in flight to the end of the stream, so
+// the closed prefix never contains them.
+TEST(OnlineEquivalence, LossyRandomEnvironmentAllProtocolsAllSeeds) {
+  EXPECT_GT(check_environment(random_env, true), 0);
+}
+
+TEST(OnlineEquivalence, LossyGroupEnvironmentAllProtocolsAllSeeds) {
+  EXPECT_GT(check_environment(group_env, true), 0);
+}
+
+TEST(OnlineEquivalence, LossyClientServerEnvironmentAllProtocolsAllSeeds) {
+  EXPECT_GT(check_environment(client_server_env, true), 0);
 }
 
 // Edge cases a random environment rarely hits in one stream: an idle
@@ -545,36 +552,92 @@ TEST(OnlineReset, RepeatedResetStaysFresh) {
       ops.size());
 }
 
+bool same_outcome(const RecoveryOutcome& a, const RecoveryOutcome& b) {
+  return a.line == b.line && a.rollback_intervals == b.rollback_intervals &&
+         a.total_rollback == b.total_rollback &&
+         a.worst_fraction == b.worst_fraction;
+}
+
+// The recovery outcome at every batch boundary of a serial keep-all twin
+// fed `ops` in `batch`-event batches; [0] is the empty engine's.
+std::vector<RecoveryOutcome> boundary_outcomes(
+    int num_processes, const std::vector<StreamEvent>& ops,
+    std::size_t batch) {
+  OnlineEngine twin(EngineOptions{num_processes});
+  std::vector<RecoveryOutcome> out{twin.recovery_line().value};
+  const std::span<const StreamEvent> all(ops);
+  for (std::size_t i = 0; i < all.size(); i += batch) {
+    twin.feed(all.subspan(i, std::min(batch, all.size() - i)));
+    out.push_back(twin.recovery_line().value);
+  }
+  return out;
+}
+
+// One reader's position among the boundary outcomes. A concurrent answer
+// is a snapshot taken between two batches, so it must equal the outcome at
+// some boundary, and a later answer can never match an earlier boundary.
+class BoundaryCursor {
+ public:
+  explicit BoundaryCursor(const std::vector<RecoveryOutcome>& outcomes)
+      : outcomes_(outcomes) {}
+
+  // Moves to the first boundary at or after the current one whose outcome
+  // equals `got`; false (and no move) when there is none.
+  bool advance(const RecoveryOutcome& got) {
+    for (std::size_t k = at_; k < outcomes_.size(); ++k) {
+      if (same_outcome(outcomes_[k], got)) {
+        at_ = k;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const std::vector<RecoveryOutcome>& outcomes_;
+  std::size_t at_ = 0;
+};
+
 TEST(OnlineConcurrency, QueriesDuringFeed) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
-  cfg.duration = 40.0;
+  cfg.duration = 160.0;
   cfg.basic_ckpt_mean = 8.0;
   cfg.seed = 7;
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
+  const std::vector<RecoveryOutcome> outcomes =
+      boundary_outcomes(cfg.num_processes, ops, 1);
   OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
+  std::atomic<long long> off_boundary{0};
+  // The feed starts once every reader has run one round of queries.
+  std::latch latch(3);
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&engine, &done] {
+    readers.emplace_back([&engine, &done, &outcomes, &off_boundary, &latch] {
+      BoundaryCursor cursor(outcomes);
       long long sink = 0;
-      while (!done.load(std::memory_order_acquire)) {
+      for (bool first = true; first || !done.load(std::memory_order_acquire);
+           first = false) {
         sink += engine.is_rdt_so_far() ? 1 : 0;
-        sink += engine.recovery_line().value.total_rollback;
+        if (!cursor.advance(engine.recovery_line().value)) ++off_boundary;
         sink += engine.stats().value.noncausal_junctions;
         sink += engine.zreach({0, 0}, {1, 0}).value ? 1 : 0;
         sink += engine.live_tdv(0).size();
+        if (first) latch.count_down();
       }
       EXPECT_GE(sink, 0);
     });
   }
 
+  latch.wait();
   for (const StreamEvent& op : ops) feed_one(engine, op);
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
+  EXPECT_EQ(off_boundary.load(), 0);
 
   // The feed's end state must still match the batch pipeline exactly.
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
@@ -588,25 +651,35 @@ TEST(OnlineConcurrency, QueriesDuringFeed) {
 // threads hammer every query — the wait-free ones (which retry under the
 // seqlock) and the heavy cached ones (which serialize on the reader mutex
 // only). Run under TSan in CI, this is the proof the read path takes no
-// lock the feeder holds; the end state must still be exact.
+// lock the feeder holds; every recovery answer must be a batch boundary's,
+// and the end state must still be exact.
 TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
-  cfg.duration = 60.0;
+  cfg.duration = 240.0;
   cfg.basic_ckpt_mean = 8.0;
   cfg.seed = 11;
   const std::vector<StreamEvent> ops =
       record_replay(random_environment(cfg), ProtocolKind::kBhmr);
 
+  constexpr std::size_t kBatch = 64;
+  const std::vector<RecoveryOutcome> outcomes =
+      boundary_outcomes(cfg.num_processes, ops, kBatch);
   OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
+  std::atomic<long long> off_boundary{0};
+  // The feed starts once every reader has run one round of queries.
+  std::latch latch(4);
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&engine, &done, t] {
+    readers.emplace_back([&engine, &done, &outcomes, &off_boundary, &latch,
+                          t] {
+      BoundaryCursor cursor(outcomes);
       long long sink = 0;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
-      while (!done.load(std::memory_order_acquire)) {
+      for (bool first = true; first || !done.load(std::memory_order_acquire);
+           first = false) {
         sink += engine.is_rdt_so_far() ? 1 : 0;
         sink += engine.events_consumed();
         sink += engine.current_interval(p);
@@ -615,21 +688,23 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
         const OnlineStats s = engine.stats().value;
         sink += s.events + s.checkpoints;
         if (t % 2 == 0) {
-          sink += engine.recovery_line().value.total_rollback;
+          if (!cursor.advance(engine.recovery_line().value)) ++off_boundary;
           sink += engine.zreach({p, 0}, {0, 0}).value ? 1 : 0;
         }
         p = static_cast<ProcessId>((p + 1) % engine.num_processes());
+        if (first) latch.count_down();
       }
       EXPECT_GE(sink, 0);
     });
   }
 
+  latch.wait();
   const std::span<const StreamEvent> all(ops);
-  constexpr std::size_t kBatch = 64;
   for (std::size_t i = 0; i < all.size(); i += kBatch)
     engine.feed(all.subspan(i, std::min(kBatch, all.size() - i)));
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
+  EXPECT_EQ(off_boundary.load(), 0);
 
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);
   expect_prefix_equivalence(
@@ -643,12 +718,13 @@ TEST(OnlineConcurrency, SeqlockTortureFourReaders) {
 // the reader-cache under its mutex) while three reader threads hammer every
 // query — including zreach on ids that cross the moving retention horizon,
 // whose status may legitimately flip to kEvicted but must never tear or
-// return a guessed value. Run under TSan in CI; the retained end state must
-// still match a keep-all engine's.
+// return a guessed value. Run under TSan in CI; every recovery answer must
+// be a batch boundary's, and the retained end state must still match a
+// keep-all engine's.
 TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
-  cfg.duration = 60.0;
+  cfg.duration = 240.0;
   cfg.basic_ckpt_mean = 4.0;
   cfg.seed = 19;
   const std::vector<StreamEvent> ops =
@@ -658,30 +734,42 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   policy.enabled = true;
   policy.compact_every_events = 0;  // the feeder compacts explicitly below
   policy.min_evictable_checkpoints = 1;
+  // Compaction never moves the recovery line, so the keep-all twin's
+  // boundary outcomes hold for the compacted engine too.
+  constexpr std::size_t kBatch = 48;
+  const std::vector<RecoveryOutcome> outcomes =
+      boundary_outcomes(cfg.num_processes, ops, kBatch);
   OnlineEngine engine(EngineOptions{cfg.num_processes, policy});
   std::atomic<bool> done{false};
+  std::atomic<long long> off_boundary{0};
+  // The feed starts once every reader has run one round of queries.
+  std::latch latch(3);
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&engine, &done, t] {
+    readers.emplace_back([&engine, &done, &outcomes, &off_boundary, &latch,
+                          t] {
+      BoundaryCursor cursor(outcomes);
       long long sink = 0;
       ProcessId p = static_cast<ProcessId>(t % engine.num_processes());
-      while (!done.load(std::memory_order_acquire)) {
+      for (bool first = true; first || !done.load(std::memory_order_acquire);
+           first = false) {
         sink += engine.is_rdt_so_far() ? 1 : 0;
         sink += engine.stats().value.checkpoints;
         sink += engine.first_retained(p);
         sink += engine.retention_stats().evicted_checkpoints;
         const ZreachResult z = engine.zreach({p, 0}, {0, 0});
         sink += z.ok() && z.value ? 1 : 0;
-        sink += engine.recovery_line().value.total_rollback;
+        if (!cursor.advance(engine.recovery_line().value)) ++off_boundary;
         p = static_cast<ProcessId>((p + 1) % engine.num_processes());
+        if (first) latch.count_down();
       }
       EXPECT_GE(sink, 0);
     });
   }
 
+  latch.wait();
   const std::span<const StreamEvent> all(ops);
-  constexpr std::size_t kBatch = 48;
   std::size_t batches = 0;
   for (std::size_t i = 0; i < all.size(); i += kBatch) {
     engine.feed(all.subspan(i, std::min(kBatch, all.size() - i)));
@@ -690,6 +778,7 @@ TEST(OnlineConcurrency, ReadersAcrossCompaction) {
   engine.compact();
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
+  EXPECT_EQ(off_boundary.load(), 0);
 
   // Retained-state answers still match a keep-all engine.
   OnlineEngine keepall(EngineOptions{cfg.num_processes});

@@ -22,34 +22,12 @@
 #include "serve/wire.hpp"
 #include "sim/environments.hpp"
 #include "sim/replay.hpp"
+#include "stream_fixtures.hpp"
 
 namespace rdt::serve {
 namespace {
 
-// Captures a builder's append stream as a replayable event list.
-class Recorder final : public PatternListener {
- public:
-  void on_send(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::send(m, sender, receiver));
-  }
-  void on_deliver(MsgId m, ProcessId sender, ProcessId receiver) override {
-    ops.push_back(StreamEvent::deliver(m, sender, receiver));
-  }
-  void on_internal(ProcessId p) override {
-    ops.push_back(StreamEvent::internal(p));
-  }
-  void on_checkpoint(ProcessId p, CkptIndex index) override {
-    ops.push_back(StreamEvent::checkpoint(p, index));
-  }
-
-  std::vector<StreamEvent> ops;
-};
-
-std::vector<StreamEvent> record_replay(const Trace& trace, ProtocolKind kind) {
-  Recorder recorder;
-  replay(trace, kind, {.online = &recorder});
-  return recorder.ops;
-}
+using test::record_replay;
 
 // encode_frame takes a span, which a braced event list cannot bind to;
 // tests building literal frames route through this vector-taking wrapper.

@@ -150,7 +150,8 @@ void rule_obs_hot_path(const FileInput& file, std::string_view stripped,
 // ---------------------------------------------------------------------------
 // ticket-atomics: every member the feeder mutates in a TU that brackets its
 // writes with a seqlock WriteTicket must be atomic (readers load it
-// race-free), a PublishedLog (release/acquire publication), a mutex, or on
+// race-free), a PublishedLog or PublishedHeads (util/published_log.hpp:
+// release/acquire publication), a mutex, or on
 // the audited feeder-private allowlist below (state readers never touch).
 // A plain member mutated in such a TU is exactly the bug the seqlock write
 // bracket exists to prevent: a torn read on the lock-free query path.
@@ -158,7 +159,7 @@ void rule_obs_hot_path(const FileInput& file, std::string_view stripped,
 // Feeder-private state, audited: guarded by feed_mu_ (or rc_.mu for rc_)
 // and never read by the lock-free query path. Each entry is a deliberate,
 // reviewed exemption — extend only with the matching GUARDED_BY annotation.
-constexpr std::array<std::string_view, 15> kTicketAllowlist = {
+constexpr std::array<std::string_view, 13> kTicketAllowlist = {
     "machine_",    // feeder-private TDV machine, GUARDED_BY(feed_mu_)
     "clocks_",     // feeder-private vector clocks, GUARDED_BY(feed_mu_)
     "state_",      // per-process state + publish marks, GUARDED_BY(feed_mu_)
@@ -166,11 +167,9 @@ constexpr std::array<std::string_view, 15> kTicketAllowlist = {
     "tdv_pool_",   // recycled piggyback buffers, GUARDED_BY(feed_mu_)
     "clock_pool_", // recycled piggyback buffers, GUARDED_BY(feed_mu_)
     "node_ids_",   // feeder-side node table, GUARDED_BY(feed_mu_)
-    "next_node_",  // feeder-side node counter, GUARDED_BY(feed_mu_)
     "rc_",         // reader cache, all fields GUARDED_BY(rc_.mu)
     "retention_",  // retention policy, set at init/reset, GUARDED_BY(feed_mu_)
     "msgs_base_",  // message-window base, GUARDED_BY(feed_mu_)
-    "summary_nodes_",        // per-process summary ids, GUARDED_BY(feed_mu_)
     "events_since_compact_",    // compaction cadence, GUARDED_BY(feed_mu_)
     "events_since_mem_probe_",  // accounting cadence, GUARDED_BY(feed_mu_)
     "shadow_",     // audit-only keep-all twin, GUARDED_BY(feed_mu_)
@@ -231,7 +230,8 @@ void collect_members(std::string_view stripped, std::vector<Member>& out) {
       if (type.find("atomic") != std::string_view::npos ||
           type.find("PubProc") != std::string_view::npos)
         m.cls = MemberClass::kAtomic;  // PubProc: a struct of atomics
-      else if (type.find("PublishedLog") != std::string_view::npos)
+      else if (type.find("PublishedLog") != std::string_view::npos ||
+               type.find("PublishedHeads") != std::string_view::npos)
         m.cls = MemberClass::kLog;
       else if (type.find("Mutex") != std::string_view::npos ||
                type.find("mutex") != std::string_view::npos)
@@ -343,7 +343,8 @@ void rule_ticket_atomics(const FileInput& file, std::string_view stripped,
           {file.path, line_of(stripped, pos), "ticket-atomics",
            "member '" + m.name +
                "' is mutated in a WriteTicket TU but is neither atomic, a "
-               "PublishedLog, nor on the audited feeder-private allowlist"});
+               "published log or heads array, nor on the audited "
+               "feeder-private allowlist"});
     }
   }
 }
@@ -619,8 +620,8 @@ std::string strip_comments_and_strings(std::string_view text) {
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
       {"ticket-atomics",
-       "members mutated in a WriteTicket TU must be atomic, PublishedLog, or "
-       "audited feeder-private"},
+       "members mutated in a WriteTicket TU must be atomic, PublishedLog, "
+       "PublishedHeads, or audited feeder-private"},
       {"bare-mutex",
        "std::mutex/std::lock_guard are banned outside the annotated wrappers"},
       {"obs-hot-path",
