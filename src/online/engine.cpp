@@ -49,14 +49,19 @@ void OnlineEngine::reset(const EngineOptions& options) {
   for (VectorClock& c : clocks_) c.reset(options.num_processes);
 
   // Retire every live piggyback buffer into the pools before dropping the
-  // message table, so the next stream's sends start out allocation-free.
-  for (MessageState& ms : msgs_) {
-    if (ms.delivered) continue;  // delivery already recycled these
+  // message table and the parked sends, so the next stream's sends start
+  // out allocation-free.
+  const auto retire = [this](MessageState& ms) {
+    if (ms.delivered) return;  // delivery already recycled these
     tdv_pool_.push_back(std::move(ms.tdv));
     clock_pool_.push_back(std::move(ms.clock));
-  }
+  };
+  for (MessageState& ms : msgs_) retire(ms);
+  for (auto& parked : stragglers_) retire(parked.second);
   msgs_.clear();
   msgs_base_ = 0;
+  stragglers_.clear();
+  parked_sends_.store(0, std::memory_order_relaxed);
 
   node_log_.reset();
   edge_log_.reset();
@@ -93,6 +98,8 @@ void OnlineEngine::reset(const EngineOptions& options) {
       clock_pool_.resize(retention_.max_pool_buffers);
     if (msgs_.capacity() > retention_.max_reset_message_capacity)
       std::vector<MessageState>{}.swap(msgs_);
+    if (stragglers_.capacity() > retention_.max_reset_message_capacity)
+      decltype(stragglers_){}.swap(stragglers_);
     node_log_.release_unused_chunks();
     edge_log_.release_unused_chunks();
     heads_.release_unused_chunks();
@@ -356,10 +363,21 @@ void OnlineEngine::do_send(MsgId m, ProcessId sender, ProcessId receiver) {
 void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   RDT_REQUIRE(m >= 0 && m < msgs_base_ + static_cast<MsgId>(msgs_.size()),
               "unknown message id");
-  // Compaction only ever drops *delivered* messages, so an id below the
-  // window base is a redelivery, not an unknown message.
-  RDT_REQUIRE(m >= msgs_base_, "message already delivered");
-  MessageState& ms = msgs_[static_cast<std::size_t>(m - msgs_base_)];
+  // Below the window base a row is either parked (undelivered, its send
+  // interval closed) or was dropped, which compaction does only to a
+  // delivered row. So an id below the base that is not parked is a
+  // redelivery, not an unknown message.
+  auto parked = stragglers_.end();
+  if (m < msgs_base_) {
+    parked = std::lower_bound(
+        stragglers_.begin(), stragglers_.end(), m,
+        [](const auto& row, MsgId id) { return row.first < id; });
+    RDT_REQUIRE(parked != stragglers_.end() && parked->first == m,
+                "message already delivered");
+  }
+  MessageState& ms = parked != stragglers_.end()
+                         ? parked->second
+                         : msgs_[static_cast<std::size_t>(m - msgs_base_)];
   RDT_REQUIRE(!ms.delivered, "message already delivered");
   RDT_REQUIRE(ms.sender == sender && ms.receiver == receiver,
               "delivery endpoints disagree with the send");
@@ -399,8 +417,8 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   // the receiver earlier in this same interval. A junction only exists in
   // the closed prefix once its outgoing message is delivered too, so the
   // verdict is deferred to that delivery when needed. Sends of an open
-  // interval are always at or above the message window base: the window
-  // only drops messages whose send interval has closed.
+  // interval are always at or above the message window base: only rows
+  // whose send interval has closed leave the window.
   for (const MsgId out : pr.interval_sends) {
     RDT_ASSERT(out >= msgs_base_);
     MessageState& mo = msgs_[static_cast<std::size_t>(out - msgs_base_)];
@@ -427,6 +445,12 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   ms.tdv = Tdv();
   clock_pool_.push_back(std::move(ms.clock));
   ms.clock = VectorClock();
+  if (parked != stragglers_.end()) {
+    // A parked row is read only by its own delivery: release it now.
+    stragglers_.erase(parked);
+    bump(evicted_msgs_, 1LL);
+    bump(parked_sends_, -1LL);
+  }
 
   bump(events_consumed_, 1LL);
 }
@@ -626,22 +650,27 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     if (clock_pool_.size() > retention_.max_pool_buffers)
       clock_pool_.resize(retention_.max_pool_buffers);
 
-    // (2) Dead message prefix: delivered AND send interval closed means no
-    // code path can touch the row again (self-delivery re-checks are ruled
-    // out by `delivered`, junction discovery only reads open-interval
-    // sends, reset() only reads undelivered rows).
-    while (dropped_msgs < msgs_.size()) {
-      const MessageState& ms = msgs_[dropped_msgs];
-      if (!ms.delivered) break;
+    // (2) The message window's front, up to the first row whose send
+    // interval is still open. Junction discovery only reads open-interval
+    // sends, so past that point a row is read only by its own delivery: a
+    // delivered row is dead (a redelivery is ruled out by the id lookup)
+    // and is dropped, an undelivered one is parked in stragglers_.
+    std::size_t front = 0;
+    for (; front < msgs_.size(); ++front) {
+      MessageState& ms = msgs_[front];
       if (ms.send_interval >
           state_[static_cast<std::size_t>(ms.sender)].durable)
         break;
-      ++dropped_msgs;
+      if (ms.delivered)
+        ++dropped_msgs;
+      else
+        stragglers_.emplace_back(msgs_base_ + static_cast<MsgId>(front),
+                                 std::move(ms));
     }
-    if (dropped_msgs > 0) {
+    if (front > 0) {
       msgs_.erase(msgs_.begin(),
-                  msgs_.begin() + static_cast<std::ptrdiff_t>(dropped_msgs));
-      msgs_base_ += static_cast<MsgId>(dropped_msgs);
+                  msgs_.begin() + static_cast<std::ptrdiff_t>(front));
+      msgs_base_ += static_cast<MsgId>(front);
     }
 
     // (3) R-graph rebuild. Retained nodes keep their checkpoint identity
@@ -721,6 +750,8 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     bump(evicted_edges_, dropped_edges);
     bump(evicted_saved_, released_saved);
     bump(evicted_msgs_, static_cast<long long>(dropped_msgs));
+    parked_sends_.store(static_cast<long long>(stragglers_.size()),
+                        std::memory_order_relaxed);
   }
 
   events_since_mem_probe_ = 0;
@@ -732,6 +763,12 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
 void OnlineEngine::audit_compact_equivalence() {
   if constexpr (!kAuditsEnabled) return;
   if (!shadow_) return;
+  MsgId prev = -1;
+  for (const auto& [id, ms] : stragglers_) {
+    RDT_AUDIT(id > prev && id < msgs_base_ && !ms.delivered,
+              "parked sends must be undelivered, sorted and below the window");
+    prev = id;
+  }
   RDT_AUDIT(stats().value == shadow_->stats().value,
             "compacted engine's stats diverged from the keep-all shadow");
   RDT_AUDIT(is_rdt_so_far() == shadow_->is_rdt_so_far(),
@@ -766,9 +803,12 @@ std::size_t OnlineEngine::feeder_resident_bytes() const {
   // exact, which is what the flat-RSS gate in bench_longrun leans on.
   std::size_t bytes = node_log_.resident_bytes() + edge_log_.resident_bytes() +
                       heads_.resident_bytes();
-  bytes += mem::vec_bytes(msgs_);
-  for (const MessageState& ms : msgs_)
-    bytes += mem::vec_bytes(ms.tdv) + mem::vec_bytes(ms.deferred);
+  bytes += mem::vec_bytes(msgs_) + mem::vec_bytes(stragglers_);
+  const auto row_bytes = [](const MessageState& ms) {
+    return mem::vec_bytes(ms.tdv) + mem::vec_bytes(ms.deferred);
+  };
+  for (const MessageState& ms : msgs_) bytes += row_bytes(ms);
+  for (const auto& parked : stragglers_) bytes += row_bytes(parked.second);
   bytes += mem::nested_vec_bytes(tdv_pool_);
   bytes += mem::vec_bytes(clock_pool_);
   for (const auto& ps : state_)
@@ -804,6 +844,7 @@ RetentionStats OnlineEngine::retention_stats() const {
   s.evicted_saved_tdvs = evicted_saved_.load(std::memory_order_relaxed);
   s.evicted_messages = evicted_msgs_.load(std::memory_order_relaxed);
   s.late_edges_collapsed = late_edges_.load(std::memory_order_relaxed);
+  s.parked_sends = parked_sends_.load(std::memory_order_relaxed);
   s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   return s;
 }
@@ -1052,6 +1093,10 @@ void OnlineEngine::flush_metrics() const {
         evicted_ckpts_.load(std::memory_order_relaxed));
   m.add(m.counter("online.retention.evicted_messages"),
         evicted_msgs_.load(std::memory_order_relaxed));
+  // A current count, not a lifetime total: the session sums the parked
+  // rows live at each flush.
+  m.add(m.counter("online.retention.parked_sends"),
+        parked_sends_.load(std::memory_order_relaxed));
   long long sweeps = 0;
   {
     const MutexLock lock(rc_.mu);

@@ -84,9 +84,10 @@
 // engine bounds resident memory to the live frontier: compact() — manual or
 // automatic on the policy's cadence — folds everything at or behind the
 // current recovery line into one summary node per process and releases the
-// storage (saved-TDV rows, R-graph nodes/edges, closure rows, the
-// delivered-and-closed message prefix). Correctness rests on two facts the
-// paper provides:
+// storage (saved-TDV rows, R-graph nodes/edges, closure rows, and every
+// message row whose send interval has closed, up to the first that is still
+// open: delivered rows are dropped, undelivered ones parked, see msgs_).
+// Correctness rests on two facts the paper provides:
 //  * The recovery line is monotone. A node's in-edges freeze when its
 //    interval closes, and every new edge's head is volatile at creation —
 //    so once no volatile node reaches C_{p,x}, none ever will, and a
@@ -470,10 +471,24 @@ class OnlineEngine final : public PatternListener {
   std::vector<VectorClock> clocks_ RDT_GUARDED_BY(feed_mu_);
   std::vector<ProcessState> state_ RDT_GUARDED_BY(feed_mu_);
   // The live message window: msgs_[m - msgs_base_] for m >= msgs_base_.
-  // compact() drops the prefix of messages that are delivered AND whose
-  // send interval has closed — nothing can ever read those rows again.
+  // compact() walks the window's front up to the first row whose send
+  // interval is still open. A delivered row there is dropped: nothing can
+  // ever read it again. An undelivered one is parked in stragglers_, so it
+  // holds back no later row.
   std::vector<MessageState> msgs_ RDT_GUARDED_BY(feed_mu_);
   MsgId msgs_base_ RDT_GUARDED_BY(feed_mu_) = 0;
+  // Parked sends: the undelivered rows below msgs_base_, sorted by id (they
+  // leave the window's front in id order). do_deliver finds a late delivery
+  // here by binary search and erases the row; an id below the base that is
+  // not here was delivered already. The R-graph has an edge only for a
+  // delivered message, so a parked send holds no rollback dependency and
+  // nothing back but its own row.
+  // Abandoned sends: a parked row is kept until it is delivered or reset()
+  // returns its TDV and clock buffers to the pools. There is no age-out,
+  // because dropping a parked row would turn a legal late delivery into an
+  // error. Memory is O(lost sends), one row each.
+  std::vector<std::pair<MsgId, MessageState>> stragglers_
+      RDT_GUARDED_BY(feed_mu_);
   // Spent piggyback buffers, recycled: a delivery retires its message's TDV
   // and clock snapshots here, the next send reuses their capacity, so the
   // steady-state feed path performs no per-event heap allocation.
@@ -522,6 +537,9 @@ class OnlineEngine final : public PatternListener {
   std::atomic<long long> evicted_saved_{0};
   std::atomic<long long> evicted_msgs_{0};
   std::atomic<long long> late_edges_{0};
+  // stragglers_.size(), mirrored for retention_stats(); a current count,
+  // so reset() zeroes it.
+  std::atomic<long long> parked_sends_{0};
   // Capacity-accounted footprint (util/mem_accounting.hpp), refreshed at
   // every reset (construction included), every compaction and every ~256k
   // fed events.

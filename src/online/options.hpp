@@ -104,15 +104,22 @@ struct EngineOptions {
 // accounting. Counters survive reset() (they are lifetime metrics, like the
 // recovery-sweep counter); resident_bytes is a point-in-time snapshot
 // refreshed at every compaction, every reset, and periodically during
-// feeding.
+// feeding, and parked_sends is the live count.
 struct RetentionStats {
   bool enabled = false;
   long long compactions = 0;           // rebuild passes that evicted state
   long long evicted_checkpoints = 0;   // R-graph nodes folded into summaries
   long long evicted_edges = 0;         // edges dropped with their head
   long long evicted_saved_tdvs = 0;    // saved-TDV rows released to the pool
-  long long evicted_messages = 0;      // delivered+closed message-table rows
+  // Message rows released: delivered rows dropped from the window's front
+  // once their send interval closed, plus parked rows erased at their late
+  // delivery.
+  long long evicted_messages = 0;
   long long late_edges_collapsed = 0;  // deliveries whose send was evicted
+  // Current (not cumulative) number of sends parked outside the message
+  // window: undelivered, with their send interval closed. One row each,
+  // for a lost message or one still in flight. reset() zeroes it.
+  long long parked_sends = 0;
   std::size_t resident_bytes = 0;
 
   friend bool operator==(const RetentionStats&,

@@ -1,12 +1,13 @@
 // Prefix compaction vs a keep-all engine: a retention-enabled OnlineEngine,
 // compacted at arbitrary stream positions, must stay bit-identical on every
 // query about retained state — across all protocol kinds, three
-// environments and several seeds, also with 1% of the deliveries lost —
-// while queries behind the retention horizon report kEvicted (never a
-// guessed answer). Plus the exact horizon boundary (the at-line checkpoint
-// is evicted, line+1 is retained), the automatic compaction cadence, the
-// keep-all no-op contract, and the retention caps a reset() applies to
-// recycled capacity.
+// environments and several seeds, also with 1% of the deliveries lost or
+// delivered two compaction cadences late — while queries behind the
+// retention horizon report kEvicted (never a guessed answer). Plus the
+// exact horizon boundary (the at-line checkpoint is evicted, line+1 is
+// retained), the automatic compaction cadence, the keep-all no-op
+// contract, the retention caps a reset() applies to recycled capacity, and
+// flat resident memory on a stream with lost sends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 namespace rdt {
 namespace {
 
+using test::delay_deliveries;
 using test::drop_deliveries;
 using test::record_replay;
 
@@ -93,12 +95,22 @@ void expect_matches_keepall(const OnlineEngine& compacted,
   }
 }
 
+// What a sweep's streams did to the compacted engines, summed.
+struct Tally {
+  long long lost = 0;         // deliveries removed
+  long long delayed = 0;      // deliveries moved later
+  long long late_edges = 0;   // late_edges_collapsed at each stream's end
+  long long parked_seen = 0;  // parked_sends summed over every cut
+  long long parked_left = 0;  // parked_sends at each stream's end
+};
+
 // Feed the same stream into a compacted and a keep-all engine, compacting
 // the former at `rounds` pseudo-random cut points (deterministic seed), and
 // compare the full query surface after every compaction and at the end.
 void check_compaction_equivalence(int num_processes,
                                   const std::vector<StreamEvent>& ops,
-                                  std::uint32_t seed, int rounds = 4) {
+                                  std::uint32_t seed, int rounds,
+                                  Tally& tally) {
   OnlineEngine compacted(EngineOptions{num_processes, eager_manual()});
   OnlineEngine keepall(EngineOptions{num_processes});
   std::vector<CkptIndex> durable(static_cast<std::size_t>(num_processes), 0);
@@ -120,25 +132,40 @@ void check_compaction_equivalence(int num_processes,
         durable[static_cast<std::size_t>(ops[i].p)] = ops[i].index;
     fed = cut;
     compacted.compact();
+    tally.parked_seen += compacted.retention_stats().parked_sends;
     expect_matches_keepall(compacted, keepall, durable);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_FALSE(keepall.retention_stats().enabled);
-  EXPECT_TRUE(compacted.retention_stats().enabled);
+  const RetentionStats stats = compacted.retention_stats();
+  EXPECT_TRUE(stats.enabled);
+  tally.late_edges += stats.late_edges_collapsed;
+  tally.parked_left += stats.parked_sends;
 }
 
-// The equivalence sweeps over the three environment families. The lossy
-// variant removes a seeded 1% of each recorded stream's deliveries (at
-// least one) and adds the count to *dropped: a lost send stays in flight
-// for good and pins the message window behind it.
+// The equivalence sweeps over the three environment families, on each
+// recorded stream as is or in a variant. kLossy removes a seeded 1% of the
+// deliveries (at least one): a lost send stays in flight for good, and
+// compaction parks it once its send interval closes. kDelayed moves a
+// seeded 1% of the deliveries at least two compaction cadences later (the
+// mean spacing of 8 cuts), so parked sends are delivered late.
+enum class Variant { kRecorded, kLossy, kDelayed };
+
 void feed_stream(int num_processes, std::vector<StreamEvent> ops,
-                 std::uint64_t seed, long long* dropped) {
-  if (dropped != nullptr) *dropped += drop_deliveries(ops, seed);
+                 std::uint64_t seed, Variant variant, Tally& tally) {
+  int rounds = 4;
+  if (variant == Variant::kLossy) tally.lost += drop_deliveries(ops, seed);
+  if (variant == Variant::kDelayed) {
+    rounds = 8;
+    tally.delayed += delay_deliveries(
+        ops, seed, 2 * ops.size() / static_cast<std::size_t>(rounds));
+  }
   check_compaction_equivalence(num_processes, ops,
-                               static_cast<std::uint32_t>(seed));
+                               static_cast<std::uint32_t>(seed), rounds,
+                               tally);
 }
 
-void random_env_sweep(long long* dropped) {
+void random_env_sweep(Variant variant, Tally& tally) {
   for (const ProtocolKind kind : all_protocol_kinds()) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(ProtocolRegistry::instance().info(kind).id + " seed " +
@@ -150,13 +177,13 @@ void random_env_sweep(long long* dropped) {
       cfg.seed = seed;
       feed_stream(cfg.num_processes,
                   record_replay(random_environment(cfg), kind), seed,
-                  dropped);
+                  variant, tally);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
-void group_env_sweep(long long* dropped) {
+void group_env_sweep(Variant variant, Tally& tally) {
   GroupEnvConfig cfg;
   cfg.num_groups = 2;
   cfg.group_size = 3;
@@ -168,12 +195,12 @@ void group_env_sweep(long long* dropped) {
     cfg.seed += 1;
     feed_stream(cfg.num_processes(),
                 record_replay(group_environment(cfg), kind), cfg.seed,
-                dropped);
+                variant, tally);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-void client_server_env_sweep(long long* dropped) {
+void client_server_env_sweep(Variant variant, Tally& tally) {
   ClientServerEnvConfig cfg;
   cfg.num_servers = 3;
   cfg.num_requests = 8;
@@ -183,29 +210,52 @@ void client_server_env_sweep(long long* dropped) {
     cfg.seed += 1;
     feed_stream(cfg.num_processes(),
                 record_replay(client_server_environment(cfg), kind),
-                cfg.seed, dropped);
+                cfg.seed, variant, tally);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(CompactionEquivalence, RandomEnvAllProtocolsAllSeeds) {
-  random_env_sweep(nullptr);
+Tally all_environments_sweep(Variant variant) {
+  Tally tally;
+  random_env_sweep(variant, tally);
+  if (::testing::Test::HasFatalFailure()) return tally;
+  group_env_sweep(variant, tally);
+  if (::testing::Test::HasFatalFailure()) return tally;
+  client_server_env_sweep(variant, tally);
+  return tally;
 }
 
-TEST(CompactionEquivalence, GroupEnvAllProtocols) { group_env_sweep(nullptr); }
+TEST(CompactionEquivalence, RandomEnvAllProtocolsAllSeeds) {
+  Tally tally;
+  random_env_sweep(Variant::kRecorded, tally);
+}
+
+TEST(CompactionEquivalence, GroupEnvAllProtocols) {
+  Tally tally;
+  group_env_sweep(Variant::kRecorded, tally);
+}
 
 TEST(CompactionEquivalence, ClientServerEnvAllProtocols) {
-  client_server_env_sweep(nullptr);
+  Tally tally;
+  client_server_env_sweep(Variant::kRecorded, tally);
 }
 
 TEST(CompactionEquivalence, LossyDeliveriesAllEnvironmentsAllProtocols) {
-  long long dropped = 0;
-  random_env_sweep(&dropped);
-  if (HasFatalFailure()) return;
-  group_env_sweep(&dropped);
-  if (HasFatalFailure()) return;
-  client_server_env_sweep(&dropped);
-  EXPECT_GT(dropped, 0);
+  const Tally tally = all_environments_sweep(Variant::kLossy);
+  EXPECT_GT(tally.lost, 0);
+  EXPECT_GT(tally.parked_seen, 0);
+}
+
+// Parked sends delivered late: each late delivery must find its own parked
+// row (a wrong row changes the TDV merge, the clocks and the R-graph edge,
+// which the keep-all twin catches at the next cut), and once every delayed
+// delivery has arrived nothing stays parked.
+TEST(CompactionEquivalence, DelayedDeliveriesAllEnvironmentsAllProtocols) {
+  const Tally tally = all_environments_sweep(Variant::kDelayed);
+  EXPECT_GT(tally.delayed, 0);
+  EXPECT_GT(tally.parked_seen, 0);
+  EXPECT_GT(tally.late_edges, 0);
+  EXPECT_EQ(tally.parked_left, 0);
 }
 
 // The horizon boundary, pinned exactly: after a compaction the checkpoint
@@ -390,6 +440,83 @@ TEST(CompactionRepeated, HorizonIsMonotoneAcrossCompactions) {
     }
   }
   EXPECT_GT(last_evicted, 0);
+}
+
+// The sends a compaction after ops[0, len) parks: every send not yet
+// delivered that lies ahead of the first send whose interval is still open
+// (the message window's walk stops there). Message ids are dense in send
+// order, so a send's id is its index here.
+long long expected_parked(const std::vector<StreamEvent>& ops, std::size_t len,
+                          int num_processes) {
+  std::vector<CkptIndex> durable(static_cast<std::size_t>(num_processes), 0);
+  std::vector<std::pair<ProcessId, CkptIndex>> sends;  // sender, interval
+  std::vector<bool> delivered;
+  for (std::size_t i = 0; i < len; ++i) {
+    const StreamEvent& e = ops[i];
+    if (e.kind == EventKind::kSend) {
+      sends.emplace_back(e.p, durable[static_cast<std::size_t>(e.p)] + 1);
+      delivered.push_back(false);
+    } else if (e.kind == EventKind::kDeliver) {
+      delivered[static_cast<std::size_t>(e.msg)] = true;
+    } else if (e.kind == EventKind::kCheckpoint) {
+      durable[static_cast<std::size_t>(e.p)] = e.index;
+    }
+  }
+  long long parked = 0;
+  for (std::size_t m = 0; m < sends.size(); ++m) {
+    const auto [sender, interval] = sends[m];
+    if (interval > durable[static_cast<std::size_t>(sender)]) break;
+    if (!delivered[m]) ++parked;
+  }
+  return parked;
+}
+
+// A lost send must not pin the message window: with one send of the first
+// cadence and a seeded 0.1% of the later ones never delivered, a bounded
+// engine keeps evicting message rows every cadence, parks exactly the
+// undelivered sends whose interval has closed, and its resident bytes stay
+// flat from cadence 4 to cadence 16.
+TEST(CompactionLossy, ResidentBytesStayFlatWithLostSends) {
+  constexpr std::size_t kCadence = 2048;
+  constexpr int kCadences = 16;
+  RandomEnvConfig cfg;
+  cfg.num_processes = 4;
+  cfg.duration = 4500.0;
+  cfg.basic_ckpt_mean = 5.0;
+  cfg.seed = 61;
+  std::vector<StreamEvent> ops =
+      record_replay(random_environment(cfg), ProtocolKind::kBhmr);
+  const auto first_delivery =
+      std::find_if(ops.begin(), ops.begin() + kCadence,
+                   [](const StreamEvent& e) {
+                     return e.kind == EventKind::kDeliver;
+                   });
+  ASSERT_NE(first_delivery, ops.begin() + kCadence);
+  ops.erase(first_delivery);
+  EXPECT_GT(drop_deliveries(ops, cfg.seed, 0.001), 0);
+  ASSERT_GE(ops.size(), kCadence * kCadences);
+  ops.resize(kCadence * kCadences);
+
+  OnlineEngine engine(EngineOptions{cfg.num_processes,
+                                    RetentionPolicy::bounded(kCadence)});
+  const std::span<const StreamEvent> all(ops);
+  std::size_t resident_at_4 = 0;
+  long long evicted = 0;
+  for (int c = 1; c <= kCadences; ++c) {
+    SCOPED_TRACE("cadence " + std::to_string(c));
+    engine.feed(all.subspan(static_cast<std::size_t>(c - 1) * kCadence,
+                            kCadence));
+    const RetentionStats stats = engine.retention_stats();
+    EXPECT_EQ(stats.compactions, c);
+    EXPECT_GT(stats.evicted_messages, evicted);
+    evicted = stats.evicted_messages;
+    EXPECT_EQ(stats.parked_sends,
+              expected_parked(ops, static_cast<std::size_t>(c) * kCadence,
+                              cfg.num_processes));
+    if (c == 4) resident_at_4 = stats.resident_bytes;
+  }
+  EXPECT_LE(static_cast<double>(engine.retention_stats().resident_bytes),
+            1.25 * static_cast<double>(resident_at_4));
 }
 
 }  // namespace

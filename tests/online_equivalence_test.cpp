@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <latch>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -381,6 +382,16 @@ TEST(OnlineBatched, EmptyAndWholeStreamBatches) {
   expect_same_live_state(single, engine);
 }
 
+// Live state plus the recovery outcome.
+void expect_same_state(const OnlineEngine& a, const OnlineEngine& b) {
+  expect_same_live_state(a, b);
+  const RecoveryOutcome ra = a.recovery_line().value;
+  const RecoveryOutcome rb = b.recovery_line().value;
+  EXPECT_EQ(ra.line, rb.line);
+  EXPECT_EQ(ra.rollback_intervals, rb.rollback_intervals);
+  EXPECT_EQ(ra.total_rollback, rb.total_rollback);
+}
+
 // The failure contract: a precondition failure at event k leaves exactly
 // events [0, k) applied and visible, whether the bad event sits mid-batch
 // or arrives through on_*, and the engine then takes the valid remainder.
@@ -412,16 +423,6 @@ TEST(OnlineBatched, FailureAtEventKLeavesPrefixAppliedAndVisible) {
       {"process out of range", StreamEvent::internal(kProcs)},
   };
 
-  const auto expect_same_state = [](const OnlineEngine& a,
-                                    const OnlineEngine& b) {
-    expect_same_live_state(a, b);
-    const RecoveryOutcome ra = a.recovery_line().value;
-    const RecoveryOutcome rb = b.recovery_line().value;
-    EXPECT_EQ(ra.line, rb.line);
-    EXPECT_EQ(ra.rollback_intervals, rb.rollback_intervals);
-    EXPECT_EQ(ra.total_rollback, rb.total_rollback);
-  };
-
   for (const auto& c : cases) {
     SCOPED_TRACE(c.precondition);
     OnlineEngine reference(EngineOptions{kProcs});
@@ -451,6 +452,89 @@ TEST(OnlineBatched, FailureAtEventKLeavesPrefixAppliedAndVisible) {
     expect_same_state(reference, single);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// Redelivery of an id below the message window base, after compaction
+// moved its row out of the window: `head` is fed and compacted, then
+// tail[0, k), then `bad`, which must fail with "message already delivered"
+// and leave exactly the events before it applied and visible — mid-batch
+// and through on_* — before the valid remainder is accepted. The end state
+// must match a keep-all engine fed head + tail.
+void check_redelivery_below_window(const std::vector<StreamEvent>& head,
+                                   const std::vector<StreamEvent>& tail,
+                                   std::size_t k, const StreamEvent& bad,
+                                   long long evicted, long long parked) {
+  constexpr int kProcs = 2;
+  RetentionPolicy manual = RetentionPolicy::bounded(0);
+  manual.min_evictable_checkpoints = 1;
+  const auto compacted = [&] {
+    auto engine = std::make_unique<OnlineEngine>(EngineOptions{kProcs, manual});
+    engine->feed(head);
+    EXPECT_TRUE(engine->compact());
+    const RetentionStats stats = engine->retention_stats();
+    EXPECT_EQ(stats.evicted_messages, evicted);
+    EXPECT_EQ(stats.parked_sends, parked);
+    return engine;
+  };
+  const auto expect_already_delivered = [](auto&& feed_bad) {
+    try {
+      feed_bad();
+      ADD_FAILURE() << "redelivery was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("message already delivered"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const std::span<const StreamEvent> all(tail);
+
+  const auto reference = compacted();
+  reference->feed(all.first(k));
+
+  const auto batched = compacted();
+  std::vector<StreamEvent> batch(tail.begin(), tail.begin() + k);
+  batch.push_back(bad);
+  batch.insert(batch.end(), tail.begin() + k, tail.end());
+  expect_already_delivered([&] { batched->feed(batch); });
+  expect_same_state(*reference, *batched);
+
+  const auto single = compacted();
+  for (const StreamEvent& op : all.first(k)) feed_one(*single, op);
+  expect_already_delivered([&] { feed_one(*single, bad); });
+  expect_same_state(*reference, *single);
+
+  OnlineEngine keepall(EngineOptions{kProcs});
+  keepall.feed(head);
+  keepall.feed(tail);
+  reference->feed(all.subspan(k));
+  batched->feed(all.subspan(k));
+  for (const StreamEvent& op : all.subspan(k)) feed_one(*single, op);
+  expect_same_state(keepall, *reference);
+  expect_same_state(keepall, *batched);
+  expect_same_state(keepall, *single);
+  EXPECT_EQ(reference->retention_stats().parked_sends, 0);
+}
+
+// m0's row was dropped: delivered, and its send interval closed.
+TEST(OnlineBatched, RedeliveryOfDroppedRowFailsAtEventK) {
+  check_redelivery_below_window(
+      {StreamEvent::send(0, 0, 1), StreamEvent::deliver(0, 0, 1),
+       StreamEvent::checkpoint(0, 1)},
+      {StreamEvent::internal(1), StreamEvent::send(1, 1, 0),
+       StreamEvent::deliver(1, 1, 0), StreamEvent::checkpoint(1, 1)},
+      2, StreamEvent::deliver(0, 0, 1), /*evicted=*/1, /*parked=*/0);
+}
+
+// m1 was parked undelivered, then delivered late: its row was erased, so a
+// second delivery is a redelivery like any other.
+TEST(OnlineBatched, RedeliveryOfParkedSendFailsAtEventK) {
+  check_redelivery_below_window(
+      {StreamEvent::send(0, 0, 1), StreamEvent::send(1, 0, 1),
+       StreamEvent::deliver(0, 0, 1), StreamEvent::checkpoint(0, 1)},
+      {StreamEvent::internal(1), StreamEvent::deliver(1, 0, 1),
+       StreamEvent::send(2, 1, 0), StreamEvent::deliver(2, 1, 0),
+       StreamEvent::checkpoint(1, 1)},
+      3, StreamEvent::deliver(1, 0, 1), /*evicted=*/1, /*parked=*/1);
 }
 
 // reset() must hand back an engine bit-identical to a freshly constructed
