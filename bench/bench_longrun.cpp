@@ -381,9 +381,10 @@ Flatness soak_flatness(const SoakResult& soak) {
 // What each lost send costs the lossy soak once warmed up: the growth of
 // RSS and of the engine's resident bytes from decile 3 to the last decile,
 // over the sends lost in between. The design promises one parked row per
-// lost send: its 112-byte vector entry plus its TDV and clock buffers,
-// about 210 B at 8 processes, and up to one more entry's worth while the
-// parked-row vector doubles. The perf-smoke CI gate wants both at most
+// lost send: its 64-byte vector entry (id and message row) plus its
+// snapshot slab slot (n TDV and n clock entries and a free-list entry),
+// about 164 B at 8 processes, and up to one more entry's worth while the
+// parked-row vector or the slab doubles. The perf-smoke CI gate wants both at most
 // kMaxBytesPerLostSend. A lost send that pinned the rows behind it would
 // cost every row sent after it instead.
 struct LostSendCost {

@@ -14,7 +14,10 @@
 //    analysis, R-graph closure, the definitional check and the fused
 //    junction-family pass, each on prebuilt analyses;
 //  * recovery-line computation (fixpoint vs R-graph propagation), and the
-//    online engine's recovery query at serve_live's per-session spacing.
+//    online engine's recovery query at serve_live's per-session spacing;
+//  * the online engine's feed path on the serving stream (per event, with
+//    the automatic compaction amortised in) and one compaction pass after a
+//    full cadence.
 //
 // Unlike the experiment binaries this one has no `--json` flag: use
 // google-benchmark's native `--benchmark_format=json` /
@@ -266,9 +269,10 @@ class StreamRecorder final : public PatternListener {
   std::vector<StreamEvent> ops;
 };
 
-// A BHMR replay's pattern stream (n = 8, the study's random environment),
-// with `lost_share` of its deliveries removed by a seeded coin.
-std::vector<StreamEvent> recovery_stream(double lost_share) {
+// A BHMR replay's pattern stream (n = 8, the study's random environment:
+// the serving benchmarks' operating point), with `lost_share` of its
+// deliveries removed by a seeded coin.
+std::vector<StreamEvent> serve_stream(double lost_share) {
   StreamRecorder recorder;
   replay(make_trace(8, 16384.0), ProtocolKind::kBhmr, {.online = &recorder});
   Rng rng(5);
@@ -287,7 +291,7 @@ std::vector<StreamEvent> recovery_stream(double lost_share) {
 void BM_OnlineRecoveryQuery(benchmark::State& state, double lost_share) {
   constexpr std::size_t kBatch = 64;
   constexpr std::size_t kBatchesPerQuery = 15;
-  const std::vector<StreamEvent> ops = recovery_stream(lost_share);
+  const std::vector<StreamEvent> ops = serve_stream(lost_share);
   const std::span<const StreamEvent> all(ops);
   const EngineOptions options{8, RetentionPolicy::bounded(65536)};
   OnlineEngine engine(options);
@@ -308,6 +312,64 @@ void BM_OnlineRecoveryQuery(benchmark::State& state, double lost_share) {
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
   }
   state.counters["events"] = static_cast<double>(ops.size());
+}
+
+// The serving engine's configuration: n = 8 under bounded(65536).
+constexpr long long kServeCadence = 65536;
+
+// Feed cost on a standalone bounded engine in 64-event batches, one batch
+// per iteration, with the policy's automatic compaction amortised in. The
+// per_event counter is the mean time of one event. The engine restarts
+// from reset() (untimed) when the stream runs out.
+void BM_OnlineFeed(benchmark::State& state) {
+  constexpr std::size_t kBatch = 64;
+  const std::vector<StreamEvent> ops = serve_stream(0.0);
+  const std::span<const StreamEvent> all(ops);
+  const EngineOptions options{8, RetentionPolicy::bounded(kServeCadence)};
+  OnlineEngine engine(options);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    if (at + kBatch > all.size()) {
+      state.PauseTiming();
+      engine.reset(options);
+      at = 0;
+      state.ResumeTiming();
+    }
+    engine.feed(all.subspan(at, kBatch));
+    at += kBatch;
+  }
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kBatch,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["compactions"] =
+      static_cast<double>(engine.retention_stats().compactions);
+}
+
+// One compaction pass after a full cadence: the engine is fed 65,536
+// events with the automatic cadence off (untimed), then compact() alone is
+// timed. The engine restarts from reset() when the stream runs out.
+void BM_OnlineCompact(benchmark::State& state) {
+  const std::vector<StreamEvent> ops = serve_stream(0.0);
+  const std::span<const StreamEvent> all(ops);
+  const EngineOptions options{8, RetentionPolicy::bounded(0)};
+  OnlineEngine engine(options);
+  const auto cadence = static_cast<std::size_t>(kServeCadence);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    if (at + cadence > all.size()) {
+      engine.reset(options);
+      at = 0;
+    }
+    engine.feed(all.subspan(at, cadence));
+    at += cadence;
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool evicted = engine.compact();
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(evicted);
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.counters["evicted_checkpoints"] =
+      static_cast<double>(engine.retention_stats().evicted_checkpoints);
 }
 
 }  // namespace
@@ -343,5 +405,8 @@ BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossless, 0.0)
     ->UseManualTime()->Iterations(3000);
 BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossy, 0.001)
     ->UseManualTime()->Iterations(3000);
+BENCHMARK(BM_OnlineFeed);
+// Fixed like the recovery query: each timed pass feeds a cadence untimed.
+BENCHMARK(BM_OnlineCompact)->UseManualTime()->Iterations(200);
 
 BENCHMARK_MAIN();

@@ -6,50 +6,47 @@
 
 namespace rdt {
 
-TdvMachine::TdvMachine(int num_processes) {
-  RDT_REQUIRE(num_processes >= 1, "need at least one process");
-  const auto n = static_cast<std::size_t>(num_processes);
-  current_.assign(n, Tdv(n, 0));
-  // S0: the initial checkpoint C_{i,0} saves the all-zero vector, then the
-  // own entry becomes 1 — the index of I_{i,1}.
-  for (std::size_t i = 0; i < n; ++i) current_[i][i] = 1;
-}
+TdvMachine::TdvMachine(int num_processes) { reset(num_processes); }
 
 void TdvMachine::reset(int num_processes) {
   RDT_REQUIRE(num_processes >= 1, "need at least one process");
-  const auto n = static_cast<std::size_t>(num_processes);
-  current_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    current_[i].assign(n, 0);
-    current_[i][i] = 1;
-  }
+  n_ = static_cast<std::size_t>(num_processes);
+  // S0: the initial checkpoint C_{i,0} saves the all-zero vector, then the
+  // own entry becomes 1 — the index of I_{i,1}.
+  current_.assign(n_ * n_, 0);
+  for (std::size_t i = 0; i < n_; ++i) current_[i * n_ + i] = 1;
 }
 
-void TdvMachine::deliver(ProcessId receiver, const Tdv& piggyback) {
-  Tdv& tdv = current_[static_cast<std::size_t>(receiver)];
-  RDT_CHECK(piggyback.size() == tdv.size(),
+void TdvMachine::send(ProcessId sender, std::span<CkptIndex> piggyback) const {
+  RDT_CHECK(piggyback.size() == n_,
+            "piggyback TDV size disagrees with the machine's process count");
+  const std::span<const CkptIndex> tdv = at(sender);
+  std::copy(tdv.begin(), tdv.end(), piggyback.begin());
+}
+
+void TdvMachine::deliver(ProcessId receiver,
+                         std::span<const CkptIndex> piggyback) {
+  RDT_CHECK(piggyback.size() == n_,
             "piggybacked TDV size disagrees with the machine's process count");
-  for (std::size_t k = 0; k < tdv.size(); ++k)
+  CkptIndex* tdv = current_.data() + static_cast<std::size_t>(receiver) * n_;
+  for (std::size_t k = 0; k < n_; ++k)
     tdv[k] = std::max(tdv[k], piggyback[k]);
 }
 
-void TdvMachine::checkpoint(ProcessId p, Tdv& saved) {
-  Tdv& tdv = current_[static_cast<std::size_t>(p)];
-  saved = tdv;
-  ++tdv[static_cast<std::size_t>(p)];
+void TdvMachine::checkpoint(ProcessId p, std::span<CkptIndex> saved) {
+  send(p, saved);
+  ++current_[static_cast<std::size_t>(p) * n_ + static_cast<std::size_t>(p)];
 }
 
 TdvAnalysis::TdvAnalysis(const Pattern& pattern) : pattern_(&pattern) {
   const auto n = static_cast<std::size_t>(pattern.num_processes());
-  ckpt_tdv_.resize(static_cast<std::size_t>(pattern.total_ckpts()));
-  msg_tdv_.resize(static_cast<std::size_t>(pattern.num_messages()));
+  ckpt_tdv_.assign(static_cast<std::size_t>(pattern.total_ckpts()), Tdv(n, 0));
+  msg_tdv_.assign(static_cast<std::size_t>(pattern.num_messages()), Tdv(n, 0));
 
   // Batch = fold of the incremental step over the topological event order.
   // The machine starts past the initial checkpoints, whose saved vectors
-  // are the all-zero ones recorded here.
+  // are the all-zero ones the rows start out as.
   TdvMachine machine(pattern.num_processes());
-  for (ProcessId i = 0; i < pattern.num_processes(); ++i)
-    ckpt_tdv_[static_cast<std::size_t>(pattern.node_id({i, 0}))] = Tdv(n, 0);
 
   for (const EventRef& e : pattern.topological_order()) {
     const Event& ev = pattern.event(e);

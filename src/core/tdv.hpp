@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,111 +41,117 @@ using Tdv = std::vector<CkptIndex>;
 // verdict's frozen target always carries an in-edge from a still-volatile
 // node, so it is invalid in the current sweep and therefore above the line.
 // Once the line passes x the row can never be read again, and
-// release_through() returns its buffer to the caller's recycling pool.
+// release_through() drops it.
 //
-// Window layout: rows are stored for indices (base(), base()+size()]; the
-// saved vector of C_{p,x} lives at rows_[x - base() - 1]. base() starts at
-// 0 (C_{p,0} saves the all-zero vector, which the engine never stores) and
-// only grows.
+// Window layout: one flat buffer of fixed-stride rows (stride = the process
+// count) for indices (base(), base()+size()]; the saved vector of C_{p,x}
+// starts at rows_[(x - base() - 1) * stride()]. base() starts at 0 (C_{p,0}
+// saves the all-zero vector, which the engine never stores) and only grows.
+// Releasing rows keeps the buffer's capacity, so once the window has grown
+// to its steady-state depth append() never allocates.
 class SavedTdvWindow {
  public:
+  std::size_t stride() const { return stride_; }
   CkptIndex base() const { return base_; }
-  std::size_t size() const { return rows_.size(); }
+  std::size_t size() const { return stride_ == 0 ? 0 : rows_.size() / stride_; }
   // Highest index with a resident row (== the process's durable index when
   // the engine keeps the window current).
   CkptIndex last_index() const {
-    return base_ + static_cast<CkptIndex>(rows_.size());
+    return base_ + static_cast<CkptIndex>(size());
   }
 
   bool contains(CkptIndex x) const { return x > base_ && x <= last_index(); }
 
-  const Tdv& at(CkptIndex x) const {
+  // The stride() entries of the row saved at C_{p,x}.
+  const CkptIndex* at(CkptIndex x) const {
     RDT_CHECK(contains(x), "saved-TDV row is not resident in the window");
-    return rows_[static_cast<std::size_t>(x - base_ - 1)];
+    return rows_.data() + static_cast<std::size_t>(x - base_ - 1) * stride_;
   }
 
-  // Append the row for index last_index()+1, drawing buffer capacity from
-  // `pool` when available so the steady-state path never allocates.
-  Tdv& emplace_back(std::vector<Tdv>& pool) {
-    if (pool.empty()) return rows_.emplace_back();
-    Tdv& row = rows_.emplace_back(std::move(pool.back()));
-    pool.pop_back();
-    row.clear();
-    return row;
+  // Append the row for index last_index()+1 (zero-filled) for the caller to
+  // write.
+  std::span<CkptIndex> append() {
+    rows_.resize(rows_.size() + stride_);
+    return {rows_.data() + rows_.size() - stride_, stride_};
   }
 
-  // Release every resident row with index <= stable into `pool` and advance
-  // the base; returns how many rows were released.
-  std::size_t release_through(CkptIndex stable, std::vector<Tdv>& pool) {
+  // Drop every resident row with index <= stable and advance the base;
+  // returns how many rows were dropped.
+  std::size_t release_through(CkptIndex stable) {
     if (stable <= base_) return 0;
-    const auto drop = std::min(static_cast<std::size_t>(stable - base_),
-                               rows_.size());
-    for (std::size_t i = 0; i < drop; ++i)
-      pool.push_back(std::move(rows_[i]));
+    const auto drop =
+        std::min(static_cast<std::size_t>(stable - base_), size());
     rows_.erase(rows_.begin(),
-                rows_.begin() + static_cast<std::ptrdiff_t>(drop));
+                rows_.begin() + static_cast<std::ptrdiff_t>(drop * stride_));
     base_ += static_cast<CkptIndex>(drop);
     return drop;
   }
 
-  // Back to an empty window at base 0, recycling every row into `pool`.
-  void reset(std::vector<Tdv>& pool) {
-    for (Tdv& row : rows_) pool.push_back(std::move(row));
+  // Back to an empty window at base 0 over rows of `stride` (>= 1) entries.
+  // The buffer keeps its capacity unless that exceeds `max_rows` rows, in
+  // which case it is freed.
+  void reset(std::size_t stride, std::size_t max_rows) {
     rows_.clear();
+    if (rows_.capacity() / stride > max_rows)
+      std::vector<CkptIndex>{}.swap(rows_);
+    stride_ = stride;
     base_ = 0;
   }
 
-  std::size_t resident_bytes() const { return mem::nested_vec_bytes(rows_); }
+  std::size_t resident_bytes() const { return mem::vec_bytes(rows_); }
 
  private:
-  std::vector<Tdv> rows_;
+  std::vector<CkptIndex> rows_;
+  std::size_t stride_ = 0;
   CkptIndex base_ = 0;
 };
 
 // The pure incremental TDV step — exactly the per-event transition the
 // paper's protocols run (S0/S1/S2 of Figure 6), with no pattern and no
 // event order of its own. One machine holds the live TDV_i of every
-// process; the caller drives it event by event in any order consistent
-// with happened-before:
+// process, as the rows of one flat n x n buffer; the caller drives it event
+// by event in any order consistent with happened-before:
 //   * send(i, out)        — snapshot TDV_i into `out` (the piggyback);
 //   * deliver(j, piggy)   — TDV_j := max(TDV_j, piggy) componentwise;
 //   * checkpoint(i, out)  — save TDV_i into `out`, then bump the own entry.
-// The constructor performs the paper's initialization: all zero, the
-// implicit initial checkpoint C_{i,0} saves the zero vector (the caller
-// records that directly), and the own entry becomes 1 — the index of
-// I_{i,1}. TdvAnalysis is the batch wrapper that folds these steps over a
-// finished Pattern's topological order; the online engine feeds the same
-// machine one event at a time.
+// Every vector argument is an n-entry span the caller owns (a payload slot,
+// a saved-TDV row). The constructor performs the paper's initialization:
+// all zero, the implicit initial checkpoint C_{i,0} saves the zero vector
+// (the caller records that directly), and the own entry becomes 1 — the
+// index of I_{i,1}. TdvAnalysis is the batch wrapper that folds these steps
+// over a finished Pattern's topological order; the online engine feeds the
+// same machine one event at a time.
 class TdvMachine {
  public:
   explicit TdvMachine(int num_processes);
 
   // Back to the constructor's initial state over `num_processes` processes,
-  // reusing the existing vectors' capacity where the count allows.
+  // reusing the buffer's capacity.
   void reset(int num_processes);
 
-  int num_processes() const { return static_cast<int>(current_.size()); }
+  int num_processes() const { return static_cast<int>(n_); }
 
   // The live vector TDV_i (own entry = current interval index).
-  const Tdv& at(ProcessId i) const {
-    return current_[static_cast<std::size_t>(i)];
+  std::span<const CkptIndex> at(ProcessId i) const {
+    return {current_.data() + static_cast<std::size_t>(i) * n_, n_};
   }
 
-  // Snapshot the sender's vector into `piggyback` (assignment reuses the
-  // target's capacity, so recycled payload slots stay allocation-free).
-  void send(ProcessId sender, Tdv& piggyback) const {
-    piggyback = current_[static_cast<std::size_t>(sender)];
-  }
+  // Snapshot the sender's vector into `piggyback`.
+  void send(ProcessId sender, std::span<CkptIndex> piggyback) const;
 
   // Merge a piggybacked vector into the receiver's (componentwise max).
-  void deliver(ProcessId receiver, const Tdv& piggyback);
+  void deliver(ProcessId receiver, std::span<const CkptIndex> piggyback);
 
   // Save the vector of C_{p, current interval} into `saved`, then advance
   // the own entry to the new interval's index.
-  void checkpoint(ProcessId p, Tdv& saved);
+  void checkpoint(ProcessId p, std::span<CkptIndex> saved);
+
+  // Heap bytes of the live rows (util/mem_accounting.hpp).
+  std::size_t resident_bytes() const { return mem::vec_bytes(current_); }
 
  private:
-  std::vector<Tdv> current_;
+  std::size_t n_ = 0;
+  std::vector<CkptIndex> current_;  // row i = TDV_i, stride n_
 };
 
 class TdvAnalysis {

@@ -25,6 +25,13 @@ inline void bump(std::atomic<T>& c, T d) {
 // refresh_resident_bytes() calls when no compaction runs).
 constexpr long long kMemProbeEvents = 1 << 18;
 
+// Free `v`'s buffer when its capacity exceeds `max_rows` rows of `stride`
+// elements.
+template <typename T>
+void cap_rows(std::vector<T>& v, std::size_t max_rows, std::size_t stride = 1) {
+  if (v.capacity() / stride > max_rows) std::vector<T>{}.swap(v);
+}
+
 }  // namespace
 
 // TdvMachine has no empty state; reset() re-seeds it anyway.
@@ -45,27 +52,33 @@ void OnlineEngine::reset(const EngineOptions& options) {
   retention_ = options.retention;
 
   machine_.reset(options.num_processes);
-  clocks_.resize(n);
-  for (VectorClock& c : clocks_) c.reset(options.num_processes);
+  clocks_.assign(n * n, 0);
 
-  // Retire every live piggyback buffer into the pools before dropping the
-  // message table and the parked sends, so the next stream's sends start
-  // out allocation-free.
-  const auto retire = [this](MessageState& ms) {
-    if (ms.delivered) return;  // delivery already recycled these
-    tdv_pool_.push_back(std::move(ms.tdv));
-    clock_pool_.push_back(std::move(ms.clock));
-  };
-  for (MessageState& ms : msgs_) retire(ms);
-  for (auto& parked : stragglers_) retire(parked.second);
+  // A bounded engine must not inherit a pathological previous session's
+  // arenas: cap the row capacity that survives (a keep-all reset keeps all
+  // of it, the historical behavior).
+  const std::size_t max_rows = retention_.enabled
+                                   ? retention_.max_reset_message_capacity
+                                   : std::numeric_limits<std::size_t>::max();
   msgs_.clear();
   msgs_base_ = 0;
   stragglers_.clear();
   parked_sends_.store(0, std::memory_order_relaxed);
+  // Every snapshot slot goes with the message table: the slab is empty.
+  slab_.stride = n;
+  slab_.tdv.clear();
+  slab_.clock.clear();
+  slab_.free.clear();
+  cap_rows(msgs_, max_rows);
+  cap_rows(stragglers_, max_rows);
+  cap_rows(slab_.tdv, max_rows, n);
+  cap_rows(slab_.clock, max_rows, n);
+  cap_rows(slab_.free, max_rows);
 
   node_log_.reset();
   edge_log_.reset();
   heads_.reset();
+  node_marks_.clear();
   state_.resize(n);
   node_ids_.resize(n);
   for (ProcessId p = 0; p < options.num_processes; ++p) {
@@ -78,7 +91,7 @@ void OnlineEngine::reset(const EngineOptions& options) {
     ps.dirty = true;  // every mirror is republished below
     ps.interval_sends.clear();
     ps.pending.assign(n, 0);
-    ps.saved.reset(tdv_pool_);
+    ps.saved.reset(n, max_rows);
     // The implicit initial checkpoint C_{p,0}.
     ps.last_node = push_node(CkptId{p, 0});
     auto& t = node_ids_[static_cast<std::size_t>(p)];
@@ -89,17 +102,7 @@ void OnlineEngine::reset(const EngineOptions& options) {
   events_since_mem_probe_ = 0;
 
   if (retention_.enabled) {
-    // A bounded engine must not inherit a pathological previous session's
-    // arenas: cap the recycled pools and actually free the logs' chunk
-    // storage (a keep-all reset keeps all of it, the historical behavior).
-    if (tdv_pool_.size() > retention_.max_pool_buffers)
-      tdv_pool_.resize(retention_.max_pool_buffers);
-    if (clock_pool_.size() > retention_.max_pool_buffers)
-      clock_pool_.resize(retention_.max_pool_buffers);
-    if (msgs_.capacity() > retention_.max_reset_message_capacity)
-      std::vector<MessageState>{}.swap(msgs_);
-    if (stragglers_.capacity() > retention_.max_reset_message_capacity)
-      decltype(stragglers_){}.swap(stragglers_);
+    // Actually free the logs' chunk storage under a bounded policy.
     node_log_.release_unused_chunks();
     edge_log_.release_unused_chunks();
     heads_.release_unused_chunks();
@@ -183,11 +186,10 @@ void OnlineEngine::publish_dirty() {
     auto& ps = state_[p];
     if (!ps.dirty) continue;
     ps.dirty = false;
-    const Tdv& t = machine_.at(static_cast<ProcessId>(p));
-    const VectorClock& c = clocks_[p];
+    const std::span<const CkptIndex> t = machine_.at(static_cast<ProcessId>(p));
     for (std::size_t i = 0; i < n; ++i) {
       tdv_pub_[p * n + i].store(t[i], std::memory_order_relaxed);
-      clock_pub_[p * n + i].store(c.get(static_cast<ProcessId>(i)),
+      clock_pub_[p * n + i].store(clocks_[p * n + i],
                                   std::memory_order_relaxed);
     }
     proc_pub_[p].durable.store(ps.durable, std::memory_order_relaxed);
@@ -205,14 +207,15 @@ void OnlineEngine::audit_published_state() const {
   long long vio = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const auto& ps = state_[j];
-    const Tdv& live = machine_.at(static_cast<ProcessId>(j));
+    const std::span<const CkptIndex> live =
+        machine_.at(static_cast<ProcessId>(j));
     int v = 0;
     for (std::size_t k = 0; k < n; ++k) {
       if (ps.pending[k] > live[k]) ++v;
       RDT_AUDIT(tdv_pub_[j * n + k].load(std::memory_order_relaxed) == live[k],
                 "published TDV mirror diverged from the live TDV");
       RDT_AUDIT(clock_pub_[j * n + k].load(std::memory_order_relaxed) ==
-                    clocks_[j].get(static_cast<ProcessId>(k)),
+                    clocks_[j * n + k],
                 "published clock mirror diverged from the live clock");
     }
     RDT_AUDIT(v == ps.vio,
@@ -243,6 +246,7 @@ int OnlineEngine::push_node(const CkptId& c) {
   // The head slot first: the node log's size release publishes both.
   heads_.push_back(0);
   node_log_.push_back(c);
+  node_marks_.push_back(static_cast<std::uint32_t>(edge_log_.size()));
   return static_cast<int>(node_log_.size()) - 1;
 }
 
@@ -255,6 +259,11 @@ void OnlineEngine::push_edge(int from, int to, bool message) {
   // Released only after the edge is: a reader acquiring the new head can
   // read the entry it names, and every entry down its prev chain.
   heads_.store(tail, static_cast<std::uint32_t>(edge_log_.size()));
+}
+
+std::span<std::int64_t> OnlineEngine::clock_row(ProcessId p) {
+  const auto n = static_cast<std::size_t>(num_processes());
+  return {clocks_.data() + static_cast<std::size_t>(p) * n, n};
 }
 
 void OnlineEngine::ensure_frontier(ProcessId p) {
@@ -301,7 +310,7 @@ void OnlineEngine::evaluate_mm(const CkptId& target, ProcessId k,
   // Open target: the live TDV can only grow, so once it covers the start
   // the junction is doubled forever; otherwise it stays pending until the
   // next checkpoint of P_j freezes the interval.
-  const Tdv& live = machine_.at(j);
+  const std::span<const CkptIndex> live = machine_.at(j);
   if (live[static_cast<std::size_t>(k)] >= si) return;
   CkptIndex& slot = pj.pending[static_cast<std::size_t>(k)];
   const bool was_vio = slot > live[static_cast<std::size_t>(k)];
@@ -318,7 +327,7 @@ void OnlineEngine::refresh_vio(ProcessId j) {
   // Only a grown live TDV can change the census here, and growth can only
   // cover violations — with none outstanding there is nothing to recount.
   if (pj.vio == 0) return;
-  const Tdv& live = machine_.at(j);
+  const std::span<const CkptIndex> live = machine_.at(j);
   int v = 0;
   for (std::size_t k = 0; k < pj.pending.size(); ++k)
     if (pj.pending[k] > live[k]) ++v;
@@ -336,23 +345,17 @@ void OnlineEngine::do_send(MsgId m, ProcessId sender, ProcessId receiver) {
               "message ids must arrive densely in send order");
   ensure_frontier(sender);
   auto& ps = state_[static_cast<std::size_t>(sender)];
-  clocks_[static_cast<std::size_t>(sender)].tick(sender);
+  const std::span<std::int64_t> clock = clock_row(sender);
+  ++clock[static_cast<std::size_t>(sender)];
 
   MessageState ms;
   ms.sender = sender;
   ms.receiver = receiver;
   ms.send_interval = ps.durable + 1;
   ms.deliveries_at_sender = ps.deliveries;
-  if (!tdv_pool_.empty()) {
-    ms.tdv = std::move(tdv_pool_.back());
-    tdv_pool_.pop_back();
-  }
-  machine_.send(sender, ms.tdv);
-  if (!clock_pool_.empty()) {
-    ms.clock = std::move(clock_pool_.back());
-    clock_pool_.pop_back();
-  }
-  ms.clock = clocks_[static_cast<std::size_t>(sender)];
+  ms.slot = slab_.acquire();
+  machine_.send(sender, slab_.tdv_row(ms.slot));
+  std::copy(clock.begin(), clock.end(), slab_.clock_row(ms.slot).begin());
   ps.interval_sends.push_back(m);
   msgs_.push_back(std::move(ms));
 
@@ -399,9 +402,12 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   push_edge(tail, pr.frontier, true);
   bump(recovery_epoch_, std::uint64_t{1});
 
-  clocks_[static_cast<std::size_t>(receiver)].tick(receiver);
-  clocks_[static_cast<std::size_t>(receiver)].merge(ms.clock);
-  machine_.deliver(receiver, ms.tdv);
+  const std::span<std::int64_t> clock = clock_row(receiver);
+  ++clock[static_cast<std::size_t>(receiver)];
+  const std::span<const std::int64_t> piggy = slab_.clock_row(ms.slot);
+  for (std::size_t k = 0; k < clock.size(); ++k)
+    clock[k] = std::max(clock[k], piggy[k]);
+  machine_.deliver(receiver, slab_.tdv_row(ms.slot));
   // The merge may have covered pending starts; recount the receiver.
   refresh_vio(receiver);
 
@@ -440,11 +446,8 @@ void OnlineEngine::do_deliver(MsgId m, ProcessId sender, ProcessId receiver) {
   ms.deferred.shrink_to_fit();
   ++pr.deliveries;
 
-  // The piggyback snapshots are spent; recycle their buffers for later sends.
-  tdv_pool_.push_back(std::move(ms.tdv));
-  ms.tdv = Tdv();
-  clock_pool_.push_back(std::move(ms.clock));
-  ms.clock = VectorClock();
+  // The piggyback snapshots are spent; their slot serves a later send.
+  slab_.release(ms.slot);
   if (parked != stragglers_.end()) {
     // A parked row is read only by its own delivery: release it now.
     stragglers_.erase(parked);
@@ -459,7 +462,7 @@ void OnlineEngine::do_internal(ProcessId p) {
   RDT_REQUIRE(p >= 0 && p < num_processes(), "process id out of range");
   ensure_frontier(p);
   auto& ps = state_[static_cast<std::size_t>(p)];
-  clocks_[static_cast<std::size_t>(p)].tick(p);
+  ++clock_row(p)[static_cast<std::size_t>(p)];
   ++ps.open_retained;
   bump(retained_total_, 1);
   bump(events_consumed_, 1LL);
@@ -477,7 +480,7 @@ void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
   // which settles every junction that was pending against it. The saved
   // vector IS the live one before the own-entry bump, so the number of
   // settled violations is exactly the process's live census.
-  Tdv& saved = ps.saved.emplace_back(tdv_pool_);
+  const std::span<CkptIndex> saved = ps.saved.append();
   machine_.checkpoint(p, saved);
   long long settled = 0;
   for (std::size_t k = 0; k < ps.pending.size(); ++k) {
@@ -497,7 +500,7 @@ void OnlineEngine::do_checkpoint(ProcessId p, CkptIndex index) {
   ps.frontier = -1;
   ps.interval_sends.clear();
   ps.open_retained = 0;
-  clocks_[static_cast<std::size_t>(p)].tick(p);
+  ++clock_row(p)[static_cast<std::size_t>(p)];
 
   bump(retained_total_, 1);
   bump(recovery_epoch_, std::uint64_t{1});
@@ -641,14 +644,10 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     const WriteTicket ticket(seq_);
 
     // (1) Saved-TDV prefix: rows at or behind the line can never be read
-    // again (evaluate_mm's window containment proof), recycle them.
+    // again (evaluate_mm's window containment proof), drop them.
     for (std::size_t p = 0; p < n; ++p)
-      released_saved += static_cast<long long>(state_[p].saved.release_through(
-          outcome.line.indices[p], tdv_pool_));
-    if (tdv_pool_.size() > retention_.max_pool_buffers)
-      tdv_pool_.resize(retention_.max_pool_buffers);
-    if (clock_pool_.size() > retention_.max_pool_buffers)
-      clock_pool_.resize(retention_.max_pool_buffers);
+      released_saved += static_cast<long long>(
+          state_[p].saved.release_through(outcome.line.indices[p]));
 
     // (2) The message window's front, up to the first row whose send
     // interval is still open. Junction discovery only reads open-interval
@@ -683,39 +682,74 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
     // closed (no retained tail can point into it), so a dropped edge's tail
     // is always evicted too, and a kept edge's tail is either retained or
     // collapses onto a summary. push_edge relinks every out-edge chain.
+    //
+    // Only the logs' suffix is read back. u0, the oldest retained node, is
+    // C_{p,line+1} (or p's open frontier) minimized over p: a process's
+    // nodes enter the log in index order, so every node before u0 is
+    // evicted. An edge's head already exists when the edge is logged, so
+    // every edge logged before node_marks_[u0] has an evicted head. A node
+    // re-pushed here gets mark 0, so a later pass whose u0 predates this
+    // rebuild reads the whole log, as a full rebuild would.
     const std::size_t old_nodes = node_log_.size();
-    std::vector<CkptId> old_node_list(old_nodes);
-    for (std::size_t i = 0; i < old_nodes; ++i) old_node_list[i] = node_log_[i];
-    std::vector<EdgeRec> old_edge_list(edge_log_.size());
-    for (std::size_t i = 0; i < old_edge_list.size(); ++i)
-      old_edge_list[i] = edge_log_[i];
+    const std::size_t old_edges = edge_log_.size();
+    std::size_t u0 = old_nodes;
+    for (std::size_t p = 0; p < n; ++p) {
+      const auto& ps = state_[p];
+      const NodeIdTable& t = node_ids_[p];
+      const CkptIndex first = outcome.line.indices[p] + 1;
+      const int u = first <= ps.durable
+                        ? t.ids[static_cast<std::size_t>(first - t.base)]
+                        : ps.frontier;
+      if (u != -1) u0 = std::min(u0, static_cast<std::size_t>(u));
+    }
+    // C_{p,0} and the summaries (nodes 0..n-1) are always at or behind it.
+    RDT_ASSERT(u0 >= n);
+    const std::size_t first_edge =
+        u0 < old_nodes ? node_marks_[u0] : old_edges;
 
-    std::vector<int> remap(old_nodes, -1);
+    std::vector<CkptId> kept_nodes(old_nodes - u0);
+    for (std::size_t u = u0; u < old_nodes; ++u)
+      kept_nodes[u - u0] = node_log_[u];
+    // Edges with a head at or past u0, a tail below u0 already folded onto
+    // its process's summary id (p < n <= u0, so it cannot be mistaken for a
+    // suffix node).
+    std::vector<EdgeRec> kept_edges;
+    kept_edges.reserve(old_edges - first_edge);
+    for (std::size_t i = first_edge; i < old_edges; ++i) {
+      EdgeRec e = edge_log_[i];
+      if ((e.enc >> 1) < u0) continue;
+      if (e.from < u0)
+        e.from = static_cast<std::uint32_t>(node_log_[e.from].process);
+      kept_edges.push_back(e);
+    }
+
     node_log_.reset();
     edge_log_.reset();
     heads_.reset();
+    node_marks_.clear();
     for (ProcessId p = 0; p < num_processes(); ++p) push_node(CkptId{p, -1});
-    for (std::size_t u = 0; u < old_nodes; ++u) {
-      const CkptId c = old_node_list[u];
+    // remap[u - u0]: the new id of suffix node u.
+    std::vector<int> remap(kept_nodes.size());
+    for (std::size_t i = 0; i < kept_nodes.size(); ++i) {
+      const CkptId c = kept_nodes[i];
       if (c.index >= 0 &&
           c.index > outcome.line.indices[static_cast<std::size_t>(c.process)])
-        remap[u] = push_node(c);
+        remap[i] = push_node(c);
       else
-        remap[u] = c.process;  // fold onto the process's summary node
+        remap[i] = c.process;  // fold onto the process's summary node
     }
     node_log_.release_unused_chunks();
     heads_.release_unused_chunks();
 
-    for (const EdgeRec& e : old_edge_list) {
-      const int head = remap[static_cast<std::size_t>(e.enc >> 1)];
-      if (head < num_processes()) {
-        ++dropped_edges;  // head evicted, and with it the whole edge
-        continue;
-      }
-      push_edge(remap[static_cast<std::size_t>(e.from)], head,
-                (e.enc & 1u) != 0);
+    for (const EdgeRec& e : kept_edges) {
+      const int head = remap[(e.enc >> 1) - u0];
+      if (head < num_processes()) continue;  // head evicted: edge dropped
+      const int tail =
+          e.from < u0 ? static_cast<int>(e.from) : remap[e.from - u0];
+      push_edge(tail, head, (e.enc & 1u) != 0);
     }
     edge_log_.release_unused_chunks();
+    dropped_edges = static_cast<long long>(old_edges - edge_log_.size());
 
     // (4) Feeder id tables, per-process node handles, horizon mirrors.
     for (std::size_t p = 0; p < n; ++p) {
@@ -725,11 +759,13 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
       t.ids.erase(t.ids.begin(),
                   t.ids.begin() + static_cast<std::ptrdiff_t>(drop));
       t.base = new_base;
-      for (int& id : t.ids) id = remap[static_cast<std::size_t>(id)];
+      for (int& id : t.ids) id = remap[static_cast<std::size_t>(id) - u0];
       auto& ps = state_[p];
-      ps.last_node = remap[static_cast<std::size_t>(ps.last_node)];
+      ps.last_node = static_cast<std::size_t>(ps.last_node) < u0
+                         ? static_cast<int>(p)
+                         : remap[static_cast<std::size_t>(ps.last_node) - u0];
       if (ps.frontier != -1)
-        ps.frontier = remap[static_cast<std::size_t>(ps.frontier)];
+        ps.frontier = remap[static_cast<std::size_t>(ps.frontier) - u0];
       proc_pub_[p].horizon.store(new_base, std::memory_order_relaxed);
       proc_pub_[p].frontier.store(ps.frontier, std::memory_order_relaxed);
     }
@@ -797,23 +833,27 @@ void OnlineEngine::audit_compact_equivalence() {
 }
 
 std::size_t OnlineEngine::feeder_resident_bytes() const {
-  // Capacity accounting of the feeder-owned containers. Deliberately
-  // approximate at the leaves (VectorClock internals are opaque): the
-  // dominant terms — logs, message window, saved-TDV windows, pools — are
-  // exact, which is what the flat-RSS gate in bench_longrun leans on.
+  // Capacity accounting of every feeder-owned buffer: the logs, the message
+  // window and parked rows with their deferred-junction lists, the snapshot
+  // slab, the flat live rows and the published mirrors, the per-process
+  // state with its saved-TDV window, and the node tables.
+  const auto n = static_cast<std::size_t>(num_processes());
   std::size_t bytes = node_log_.resident_bytes() + edge_log_.resident_bytes() +
-                      heads_.resident_bytes();
+                      heads_.resident_bytes() + mem::vec_bytes(node_marks_);
   bytes += mem::vec_bytes(msgs_) + mem::vec_bytes(stragglers_);
-  const auto row_bytes = [](const MessageState& ms) {
-    return mem::vec_bytes(ms.tdv) + mem::vec_bytes(ms.deferred);
-  };
-  for (const MessageState& ms : msgs_) bytes += row_bytes(ms);
-  for (const auto& parked : stragglers_) bytes += row_bytes(parked.second);
-  bytes += mem::nested_vec_bytes(tdv_pool_);
-  bytes += mem::vec_bytes(clock_pool_);
+  for (const MessageState& ms : msgs_) bytes += mem::vec_bytes(ms.deferred);
+  for (const auto& parked : stragglers_)
+    bytes += mem::vec_bytes(parked.second.deferred);
+  bytes += mem::vec_bytes(slab_.tdv) + mem::vec_bytes(slab_.clock) +
+           mem::vec_bytes(slab_.free);
+  bytes += machine_.resident_bytes() + mem::vec_bytes(clocks_);
+  bytes += n * n * (sizeof(tdv_pub_[0]) + sizeof(clock_pub_[0])) +
+           n * sizeof(PubProc);
+  bytes += mem::vec_bytes(state_);
   for (const auto& ps : state_)
     bytes += ps.saved.resident_bytes() + mem::vec_bytes(ps.interval_sends) +
              mem::vec_bytes(ps.pending);
+  bytes += mem::vec_bytes(node_ids_);
   for (const auto& t : node_ids_) bytes += mem::vec_bytes(t.ids);
   return bytes;
 }

@@ -25,7 +25,11 @@
 // Mechanics (each layer is the incremental half of a batch analysis):
 //   * TDV      — one TdvMachine (core/tdv.hpp) advanced per event; message
 //                payloads carry TDV + vector-clock snapshots like a real
-//                protocol's piggyback.
+//                protocol's piggyback. Every n-wide vector the feeder keeps
+//                is a fixed-stride row of a flat buffer: the live TDVs and
+//                clocks (n x n each), each process's saved-TDV window, and
+//                the send-time snapshots, which live in one slab with a
+//                free list (slab_) so a message row carries only a slot.
 //   * R-graph  — nodes are created lazily: C_{p,0} up front, then the
 //                *frontier* node C_{p,durable+1} on the first event of each
 //                open interval; nodes and edges go into append-only
@@ -87,6 +91,8 @@
 // storage (saved-TDV rows, R-graph nodes/edges, closure rows, and every
 // message row whose send interval has closed, up to the first that is still
 // open: delivered rows are dropped, undelivered ones parked, see msgs_).
+// A pass costs O(retained), not O(cadence): the R-graph logs are rebuilt
+// only from the oldest retained node on (compact_locked).
 // Correctness rests on two facts the paper provides:
 //  * The recovery line is monotone. A node's in-edges freeze when its
 //    interval closes, and every new edge's head is volatile at creation —
@@ -196,17 +202,18 @@ class OnlineEngine final : public PatternListener {
   explicit OnlineEngine(const EngineOptions& options);
 
   // Rewind to the freshly-constructed state under `options`, recycling
-  // every arena the old stream grew: the message table, piggyback pools,
-  // published logs, closure rows, and (when the process count is unchanged)
-  // the mirror arrays all keep their allocations, so a serving pool can
-  // hand a recycled engine to a new session without paying the stream's
-  // warm-up allocations again. The recycled engine is bit-identical to a
-  // fresh OnlineEngine(options) on every query
-  // (tests/online_equivalence_test.cpp pins this).
+  // every arena the old stream grew: the message table, the snapshot slab,
+  // the saved-TDV windows, published logs, closure rows, and (when the
+  // process count is unchanged) the mirror arrays all keep their
+  // allocations, so a serving pool can hand a recycled engine to a new
+  // session without paying the stream's warm-up allocations again. The
+  // recycled engine is bit-identical to a fresh OnlineEngine(options) on
+  // every query (tests/online_equivalence_test.cpp pins this).
   //
   // When the incoming policy is retention-enabled, recycled capacity is
-  // capped (max_pool_buffers / max_reset_message_capacity /
-  // max_pooled_reach_rows and the published logs' unused chunks), so a
+  // capped (max_reset_message_capacity rows for the message table, the
+  // parked sends, the snapshot slab and each saved-TDV window;
+  // max_pooled_reach_rows; the published logs' unused chunks), so a
   // pathological previous session cannot permanently inflate a pooled
   // engine. A keep-all reset preserves the historical unbounded recycling.
   //
@@ -317,12 +324,45 @@ class OnlineEngine final : public PatternListener {
     CkptIndex send_interval = -1;
     CkptIndex deliver_interval = -1;  // set at delivery
     long long deliveries_at_sender = 0;
+    // The piggyback snapshots' slab_ slot while undelivered.
+    std::uint32_t slot = 0;
     bool delivered = false;
-    Tdv tdv;            // piggyback snapshots, freed at delivery
-    VectorClock clock;
     // MM starts (k, si) of junctions where this message is the outgoing
     // one, discovered before it was delivered; drained at delivery.
     std::vector<std::pair<ProcessId, CkptIndex>> deferred;
+  };
+
+  // Send-time piggyback snapshots, one slot per undelivered message: slot s
+  // holds the sender's TDV at tdv[s * stride] and its vector clock at
+  // clock[s * stride], stride = n entries each. A send takes a slot (the
+  // free list first, else both arrays grow by one row), its delivery
+  // returns it, and a parked send keeps its slot until its late delivery or
+  // reset(). The arrays grow only to the peak number of undelivered sends,
+  // so in steady state the snapshots cost no heap allocation.
+  struct SnapshotSlab {
+    std::size_t stride = 0;
+    std::vector<CkptIndex> tdv;
+    std::vector<std::int64_t> clock;
+    std::vector<std::uint32_t> free;
+
+    std::uint32_t acquire() {
+      if (!free.empty()) {
+        const std::uint32_t s = free.back();
+        free.pop_back();
+        return s;
+      }
+      const auto s = static_cast<std::uint32_t>(tdv.size() / stride);
+      tdv.resize(tdv.size() + stride);
+      clock.resize(clock.size() + stride);
+      return s;
+    }
+    void release(std::uint32_t s) { free.push_back(s); }
+    std::span<CkptIndex> tdv_row(std::uint32_t s) {
+      return {tdv.data() + std::size_t{s} * stride, stride};
+    }
+    std::span<std::int64_t> clock_row(std::uint32_t s) {
+      return {clock.data() + std::size_t{s} * stride, stride};
+    }
   };
 
   // R-graph edge as logged for readers: tail node, (head << 1) | message,
@@ -421,10 +461,13 @@ class OnlineEngine final : public PatternListener {
   std::size_t feeder_resident_bytes() const RDT_REQUIRES(feed_mu_);
 
   // The only appends to the R-graph logs: push_node returns the new node's
-  // id, push_edge links the edge in front of its tail's out-edge chain.
+  // id and records its node_marks_ entry, push_edge links the edge in front
+  // of its tail's out-edge chain.
   int push_node(const CkptId& c) RDT_REQUIRES(feed_mu_);
   void push_edge(int from, int to, bool message) RDT_REQUIRES(feed_mu_);
   void ensure_frontier(ProcessId p) RDT_REQUIRES(feed_mu_);
+  // Row p of clocks_ (P_p's live vector clock).
+  std::span<std::int64_t> clock_row(ProcessId p) RDT_REQUIRES(feed_mu_);
   int node_of(const CkptId& c) const RDT_REQUIRES(feed_mu_);  // feeder side
   // Verdict for one MM junction: the two-message chain entering target's
   // process from C_{k,si} must be trackable at `target`.
@@ -468,7 +511,8 @@ class OnlineEngine final : public PatternListener {
   RetentionPolicy retention_;
 
   TdvMachine machine_ RDT_GUARDED_BY(feed_mu_);
-  std::vector<VectorClock> clocks_ RDT_GUARDED_BY(feed_mu_);
+  // Live vector clocks, n x n row-major: row p is P_p's clock.
+  std::vector<std::int64_t> clocks_ RDT_GUARDED_BY(feed_mu_);
   std::vector<ProcessState> state_ RDT_GUARDED_BY(feed_mu_);
   // The live message window: msgs_[m - msgs_base_] for m >= msgs_base_.
   // compact() walks the window's front up to the first row whose send
@@ -483,18 +527,18 @@ class OnlineEngine final : public PatternListener {
   // not here was delivered already. The R-graph has an edge only for a
   // delivered message, so a parked send holds no rollback dependency and
   // nothing back but its own row.
-  // Abandoned sends: a parked row is kept until it is delivered or reset()
-  // returns its TDV and clock buffers to the pools. There is no age-out,
-  // because dropping a parked row would turn a legal late delivery into an
-  // error. Memory is O(lost sends), one row each.
+  // Abandoned sends: a parked row, and its snapshot slot, is kept until it
+  // is delivered or reset() drops the slab. There is no age-out, because
+  // dropping a parked row would turn a legal late delivery into an error.
+  // Memory is O(lost sends): one row and one slab slot each.
   std::vector<std::pair<MsgId, MessageState>> stragglers_
       RDT_GUARDED_BY(feed_mu_);
-  // Spent piggyback buffers, recycled: a delivery retires its message's TDV
-  // and clock snapshots here, the next send reuses their capacity, so the
-  // steady-state feed path performs no per-event heap allocation.
-  std::vector<Tdv> tdv_pool_ RDT_GUARDED_BY(feed_mu_);
-  std::vector<VectorClock> clock_pool_ RDT_GUARDED_BY(feed_mu_);
+  SnapshotSlab slab_ RDT_GUARDED_BY(feed_mu_);
   std::vector<NodeIdTable> node_ids_ RDT_GUARDED_BY(feed_mu_);
+  // [u]: edge_log_.size() when node u was pushed. Every edge logged before
+  // it has a head older than u, which is what lets compact_locked() rebuild
+  // only the logs' retained suffix.
+  std::vector<std::uint32_t> node_marks_ RDT_GUARDED_BY(feed_mu_);
   // Events applied since the last compaction attempt / resident probe.
   long long events_since_compact_ RDT_GUARDED_BY(feed_mu_) = 0;
   long long events_since_mem_probe_ RDT_GUARDED_BY(feed_mu_) = 0;

@@ -73,10 +73,10 @@ struct RetentionPolicy {
   int min_evictable_checkpoints = 64;
 
   // Caps applied by compact() and reset() so a pathological stream cannot
-  // permanently inflate a recycled engine: recycled piggyback/saved-TDV
-  // buffers kept per pool, message-table capacity surviving a reset, and
-  // closure rows pooled across a compaction's graph rebuild.
-  std::size_t max_pool_buffers = 4096;
+  // permanently inflate a recycled engine: the row capacity surviving a
+  // reset (message table, parked sends, snapshot slab slots, and each
+  // process's saved-TDV window), and closure rows pooled across a
+  // compaction's graph rebuild.
   std::size_t max_reset_message_capacity = std::size_t{1} << 16;
   std::size_t max_pooled_reach_rows = 256;
 
@@ -110,7 +110,7 @@ struct RetentionStats {
   long long compactions = 0;           // rebuild passes that evicted state
   long long evicted_checkpoints = 0;   // R-graph nodes folded into summaries
   long long evicted_edges = 0;         // edges dropped with their head
-  long long evicted_saved_tdvs = 0;    // saved-TDV rows released to the pool
+  long long evicted_saved_tdvs = 0;    // saved-TDV rows dropped
   // Message rows released: delivered rows dropped from the window's front
   // once their send interval closed, plus parked rows erased at their late
   // delivery.

@@ -6,8 +6,10 @@
 // retention horizon report kEvicted (never a guessed answer). Plus the
 // exact horizon boundary (the at-line checkpoint is evicted, line+1 is
 // retained), the automatic compaction cadence, the keep-all no-op
-// contract, the retention caps a reset() applies to recycled capacity, and
-// flat resident memory on a stream with lost sends.
+// contract, the retention caps a reset() applies to recycled capacity,
+// flat resident memory on a stream with lost sends, and the suffix
+// rebuild's fallback paths (a stalled process's re-pushed frontier, and
+// compactions with no open frontier).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -376,7 +378,6 @@ TEST(CompactionReset, RetentionCapsRecycledCapacity) {
       record_replay(random_environment(warm_cfg), ProtocolKind::kNoForce);
 
   RetentionPolicy tight = eager_manual();
-  tight.max_pool_buffers = 2;
   tight.max_reset_message_capacity = 64;
   tight.max_pooled_reach_rows = 2;
 
@@ -517,6 +518,161 @@ TEST(CompactionLossy, ResidentBytesStayFlatWithLostSends) {
   }
   EXPECT_LE(static_cast<double>(engine.retention_stats().resident_bytes),
             1.25 * static_cast<double>(resident_at_4));
+}
+
+// A hand-written stream with dense message ids and consecutive checkpoint
+// indexes; durable[p] is the highest index appended for p so far.
+struct Script {
+  explicit Script(int num_processes)
+      : durable(static_cast<std::size_t>(num_processes), 0) {}
+
+  MsgId send(ProcessId p, ProcessId q) {
+    ops.push_back(StreamEvent::send(next, p, q));
+    return next++;
+  }
+  void deliver(MsgId m, ProcessId p, ProcessId q) {
+    ops.push_back(StreamEvent::deliver(m, p, q));
+  }
+  void message(ProcessId p, ProcessId q) { deliver(send(p, q), p, q); }
+  void internal(ProcessId p) { ops.push_back(StreamEvent::internal(p)); }
+  void checkpoint(ProcessId p) {
+    ops.push_back(
+        StreamEvent::checkpoint(p, ++durable[static_cast<std::size_t>(p)]));
+  }
+
+  std::vector<StreamEvent> ops;
+  std::vector<CkptIndex> durable;
+  MsgId next = 0;
+};
+
+// A compacted engine and its keep-all twin, fed a Script in steps: each
+// step feeds what was appended since the last one, compacts, and compares
+// the full query surface.
+struct Twins {
+  explicit Twins(int num_processes)
+      : compacted(EngineOptions{num_processes, eager_manual()}),
+        keepall(EngineOptions{num_processes}) {}
+
+  bool step(const Script& script) {
+    const std::span<const StreamEvent> fresh =
+        std::span<const StreamEvent>(script.ops).subspan(fed);
+    compacted.feed(fresh);
+    keepall.feed(fresh);
+    fed = script.ops.size();
+    const bool evicted = compacted.compact();
+    expect_matches_keepall(compacted, keepall, script.durable);
+    return evicted;
+  }
+
+  OnlineEngine compacted;
+  OnlineEngine keepall;
+  std::size_t fed = 0;
+};
+
+// The suffix rebuild's fallback: a compaction reads the R-graph logs only
+// from the oldest retained node on, and a node re-pushed by an earlier
+// rebuild has no mark to skip by. Here P2 stops checkpointing for four
+// cadences while P0 and P1 keep going, so P2's open frontier stays the
+// oldest retained node and predates every rebuild of the pause. Its first
+// stalled send, to P3, is an edge between two retained nodes that every
+// rebuild of the pause must carry over (P3's line waits behind it). Then
+// P2 resumes and both horizons move again.
+TEST(CompactionRebuild, StalledProcessFallsBackToAFullRebuild) {
+  constexpr ProcessId kStalled = 2;
+  constexpr ProcessId kBehind = 3;
+  Script script(4);
+  Twins twins(4);
+  bool sent_behind = false;
+  const auto round = [&](bool stalled) {
+    script.message(0, 1);
+    script.message(1, 0);
+    script.message(0, kStalled);  // an in-edge into P2's open interval
+    script.internal(kStalled);
+    if (stalled && !sent_behind) {
+      script.message(kStalled, kBehind);
+      sent_behind = true;
+    }
+    if (!stalled) {
+      script.message(kStalled, 1);
+      script.checkpoint(kStalled);
+    }
+    script.internal(kBehind);
+    script.checkpoint(0);
+    script.checkpoint(1);
+    script.checkpoint(kBehind);
+    script.internal(0);
+    script.internal(1);
+  };
+  const auto cadence = [&](bool stalled) {
+    round(stalled);
+    round(stalled);
+    return twins.step(script);
+  };
+
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(cadence(false));
+    if (HasFatalFailure()) return;
+  }
+  const CkptIndex stalled_horizon = twins.compacted.first_retained(kStalled);
+  EXPECT_EQ(stalled_horizon, script.durable[kStalled] + 1);
+  CkptIndex behind_horizon = -1;
+  for (int c = 0; c < 4; ++c) {
+    const CkptIndex p0_horizon = twins.compacted.first_retained(0);
+    ASSERT_TRUE(cadence(true));
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(twins.compacted.first_retained(kStalled), stalled_horizon);
+    EXPECT_GT(twins.compacted.first_retained(0), p0_horizon);
+    if (c == 0) behind_horizon = twins.compacted.first_retained(kBehind);
+    EXPECT_EQ(twins.compacted.first_retained(kBehind), behind_horizon);
+  }
+  // P3's checkpoint after the stalled send: retained behind it, and still
+  // reached from P2's frontier.
+  const CkptIndex reached = behind_horizon;
+  EXPECT_LT(reached, script.durable[kBehind]);
+  const ZreachResult edge =
+      twins.compacted.zreach({kStalled, stalled_horizon}, {kBehind, reached});
+  ASSERT_TRUE(edge.ok());
+  EXPECT_TRUE(edge.value);
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(cadence(false));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(twins.compacted.first_retained(kStalled), stalled_horizon);
+  EXPECT_GT(twins.compacted.first_retained(kBehind), behind_horizon);
+  EXPECT_EQ(twins.compacted.retention_stats().compactions, 10);
+}
+
+// A compaction while processes have no open frontier (their last event was
+// a checkpoint): such a process contributes no retained node, and when
+// none has one every node is evicted and the rebuild keeps nothing but the
+// summaries. A send carried over each compaction is delivered after it, as
+// a late edge out of its sender's summary node.
+TEST(CompactionRebuild, ProcessesWithoutAnOpenFrontier) {
+  Script script(3);
+  Twins twins(3);
+  MsgId carried = kNoMsg;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (carried != kNoMsg) script.deliver(carried, 0, 1);
+    script.message(0, 1);
+    script.message(1, 2);
+    script.message(2, 0);
+    carried = script.send(0, 1);
+    for (ProcessId p = 0; p < 3; ++p) script.checkpoint(p);
+    // Odd rounds leave P2 an open frontier; even ones leave none open.
+    const bool p2_open = round % 2 == 1;
+    if (p2_open) script.internal(2);
+    ASSERT_TRUE(twins.step(script));
+    if (HasFatalFailure()) return;
+    for (ProcessId p = 0; p < 3; ++p) {
+      // With no seed reaching a durable checkpoint the line is the durable
+      // frontier, so only P2's open interval (when there is one) survives.
+      EXPECT_EQ(twins.compacted.first_retained(p),
+                script.durable[static_cast<std::size_t>(p)] + 1)
+          << "process " << p;
+    }
+  }
+  EXPECT_EQ(twins.compacted.retention_stats().late_edges_collapsed, 5);
 }
 
 }  // namespace

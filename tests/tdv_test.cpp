@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "core/chains.hpp"
 #include "core/tdv.hpp"
 #include "fixtures.hpp"
@@ -104,6 +107,117 @@ TEST(Tdv, RangeChecks) {
   const TdvAnalysis tdv(f.pattern);
   EXPECT_THROW(tdv.at_ckpt({0, 42}), std::invalid_argument);
   EXPECT_THROW(tdv.on_msg(99), std::invalid_argument);
+}
+
+// Row x of a window over stride-3 rows is filled with {x, 10 + x, 20 + x}
+// so every read can name the row it came from.
+void append_row(SavedTdvWindow& w) {
+  const CkptIndex x = w.last_index() + 1;
+  const std::span<CkptIndex> row = w.append();
+  ASSERT_EQ(row.size(), w.stride());
+  for (std::size_t k = 0; k < row.size(); ++k)
+    row[k] = x + 10 * static_cast<CkptIndex>(k);
+}
+
+std::vector<CkptIndex> row_of(const SavedTdvWindow& w, CkptIndex x) {
+  const CkptIndex* row = w.at(x);
+  return {row, row + w.stride()};
+}
+
+TEST(SavedTdvWindow, AppendAtContains) {
+  SavedTdvWindow w;
+  w.reset(3, 16);
+  EXPECT_EQ(w.stride(), 3u);
+  EXPECT_EQ(w.base(), 0);
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.last_index(), 0);
+  // C_{p,0} is never stored: index 0 is outside even an empty window.
+  EXPECT_FALSE(w.contains(0));
+  EXPECT_FALSE(w.contains(1));
+  EXPECT_THROW(w.at(1), contract_violation);
+
+  for (int i = 0; i < 4; ++i) append_row(w);
+  EXPECT_EQ(w.size(), 4u);
+  EXPECT_EQ(w.last_index(), 4);
+  EXPECT_FALSE(w.contains(0));
+  EXPECT_TRUE(w.contains(1));
+  EXPECT_TRUE(w.contains(4));
+  EXPECT_FALSE(w.contains(5));
+  for (CkptIndex x = 1; x <= 4; ++x)
+    EXPECT_EQ(row_of(w, x), (std::vector<CkptIndex>{x, 10 + x, 20 + x}));
+  EXPECT_THROW(w.at(5), contract_violation);
+  EXPECT_GE(w.resident_bytes(), 12 * sizeof(CkptIndex));
+}
+
+TEST(SavedTdvWindow, ReleaseAdvancesTheBase) {
+  SavedTdvWindow w;
+  w.reset(3, 16);
+  for (int i = 0; i < 5; ++i) append_row(w);
+
+  // Nothing at or below the base is resident, so nothing is released.
+  EXPECT_EQ(w.release_through(0), 0u);
+  EXPECT_EQ(w.release_through(2), 2u);
+  EXPECT_EQ(w.base(), 2);
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.last_index(), 5);
+  EXPECT_FALSE(w.contains(2));
+  EXPECT_TRUE(w.contains(3));
+  EXPECT_THROW(w.at(2), contract_violation);
+  // The surviving rows moved to the front of the buffer unchanged.
+  for (CkptIndex x = 3; x <= 5; ++x)
+    EXPECT_EQ(row_of(w, x), (std::vector<CkptIndex>{x, 10 + x, 20 + x}));
+  EXPECT_EQ(w.release_through(1), 0u);  // behind the base: a no-op
+  EXPECT_EQ(w.base(), 2);
+
+  // Appends continue past the advanced base.
+  append_row(w);
+  EXPECT_EQ(w.last_index(), 6);
+  EXPECT_EQ(row_of(w, 6), (std::vector<CkptIndex>{6, 16, 26}));
+  EXPECT_EQ(row_of(w, 3), (std::vector<CkptIndex>{3, 13, 23}));
+}
+
+TEST(SavedTdvWindow, ReleasePastSizeEmptiesAtLastIndex) {
+  SavedTdvWindow w;
+  w.reset(3, 16);
+  for (int i = 0; i < 3; ++i) append_row(w);
+  // A line past every resident row drops them all; the base stops at the
+  // last stored index, so the next append is still index last_index()+1.
+  EXPECT_EQ(w.release_through(10), 3u);
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.base(), 3);
+  EXPECT_EQ(w.last_index(), 3);
+  EXPECT_FALSE(w.contains(3));
+  append_row(w);
+  EXPECT_EQ(w.last_index(), 4);
+  EXPECT_EQ(row_of(w, 4), (std::vector<CkptIndex>{4, 14, 24}));
+}
+
+TEST(SavedTdvWindow, ResetTakesANewStride) {
+  SavedTdvWindow w;
+  w.reset(3, 16);
+  for (int i = 0; i < 4; ++i) append_row(w);
+  w.release_through(2);
+  const std::size_t warm = w.resident_bytes();
+
+  // Within the row cap the buffer keeps its capacity for the next stream.
+  w.reset(5, 16);
+  EXPECT_EQ(w.stride(), 5u);
+  EXPECT_EQ(w.base(), 0);
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_FALSE(w.contains(1));
+  EXPECT_EQ(w.resident_bytes(), warm);
+  const std::span<CkptIndex> row = w.append();
+  EXPECT_EQ(row.size(), 5u);
+  EXPECT_EQ(std::vector<CkptIndex>(row.begin(), row.end()),
+            std::vector<CkptIndex>(5, 0));
+  EXPECT_EQ(w.last_index(), 1);
+
+  // Past the cap the buffer is freed.
+  w.reset(2, 0);
+  EXPECT_EQ(w.stride(), 2u);
+  EXPECT_EQ(w.resident_bytes(), 0u);
+  append_row(w);
+  EXPECT_EQ(row_of(w, 1), (std::vector<CkptIndex>{1, 11}));
 }
 
 }  // namespace

@@ -164,8 +164,8 @@ constexpr std::array<std::string_view, 13> kTicketAllowlist = {
     "clocks_",     // feeder-private vector clocks, GUARDED_BY(feed_mu_)
     "state_",      // per-process state + publish marks, GUARDED_BY(feed_mu_)
     "msgs_",       // feeder-private message table, GUARDED_BY(feed_mu_)
-    "tdv_pool_",   // recycled piggyback buffers, GUARDED_BY(feed_mu_)
-    "clock_pool_", // recycled piggyback buffers, GUARDED_BY(feed_mu_)
+    "slab_",       // piggyback snapshot slab, GUARDED_BY(feed_mu_)
+    "node_marks_", // per-node edge-log marks, GUARDED_BY(feed_mu_)
     "node_ids_",   // feeder-side node table, GUARDED_BY(feed_mu_)
     "rc_",         // reader cache, all fields GUARDED_BY(rc_.mu)
     "retention_",  // retention policy, set at init/reset, GUARDED_BY(feed_mu_)
