@@ -17,7 +17,10 @@
 //    online engine's recovery query at serve_live's per-session spacing;
 //  * the online engine's feed path on the serving stream (per event, with
 //    the automatic compaction amortised in) and one compaction pass after a
-//    full cadence.
+//    full cadence;
+//  * ServePool ingest at serve_ingest's operating point: pre-encoded
+//    64-event frames with BHMR's delta-coded piggyback into 16 sessions on
+//    2 shards, per event over submit-all plus drain().
 //
 // Unlike the experiment binaries this one has no `--json` flag: use
 // google-benchmark's native `--benchmark_format=json` /
@@ -34,6 +37,9 @@
 #include "online/engine.hpp"
 #include "protocols/registry.hpp"
 #include "recovery/recovery_line.hpp"
+#include "serve/driver.hpp"
+#include "serve/pool.hpp"
+#include "serve/wire.hpp"
 #include "sim/environments.hpp"
 #include "sim/payload_arena.hpp"
 #include "sim/replay.hpp"
@@ -372,6 +378,76 @@ void BM_OnlineCompact(benchmark::State& state) {
       static_cast<double>(engine.retention_stats().evicted_checkpoints);
 }
 
+// The first `events` events of the serving stream (no losses) as 64-event
+// wire frames whose piggyback section carries each send's control data,
+// encoded by BHMR's declared codec. One frame list per session id; every
+// session gets the same events and sections, so the one generator-side
+// encoder's channel shadows match each session codec's.
+struct IngestFrames {
+  std::vector<std::vector<std::vector<std::uint8_t>>> frames;  // [session][k]
+  std::size_t events_per_session = 0;
+};
+
+IngestFrames ingest_frames(int sessions, std::size_t events) {
+  constexpr std::size_t kBatch = 64;
+  std::vector<StreamEvent> ops = serve_stream(0.0);
+  ops.resize(std::min(events, ops.size()));
+  const std::span<const StreamEvent> all(ops);
+  const std::vector<serve::PiggybackSection> sections =
+      serve::build_piggyback_sections(all, ProtocolKind::kBhmr, 8, kBatch);
+  IngestFrames out;
+  out.frames.resize(static_cast<std::size_t>(sessions));
+  out.events_per_session = ops.size();
+  for (int s = 0; s < sessions; ++s) {
+    for (std::size_t f = 0; f < sections.size(); ++f) {
+      const std::size_t at = f * kBatch;
+      serve::encode_frame(static_cast<serve::SessionId>(s + 1),
+                          all.subspan(at, std::min(kBatch, all.size() - at)),
+                          sections[f],
+                          out.frames[static_cast<std::size_t>(s)].emplace_back());
+    }
+  }
+  return out;
+}
+
+// ServePool ingest at serve_ingest's operating point: 2 shards, 16
+// sessions, n = 8, bounded(65536), two cadences of pre-encoded frames per
+// session submitted round-robin from this thread. Only submit-all plus
+// drain() is timed; opening the sessions (recycled engines after the first
+// iteration) and closing them are not. per_event is the timed wall time
+// over the events submitted.
+void BM_ServeIngest(benchmark::State& state) {
+  constexpr int kSessions = 16;
+  const IngestFrames in =
+      ingest_frames(kSessions, 2 * static_cast<std::size_t>(kServeCadence));
+  const auto& frames = in.frames;
+  serve::ServePool pool(
+      {.shards = 2,
+       .num_processes = 8,
+       .retention = RetentionPolicy::bounded(kServeCadence)});
+  double timed_s = 0.0;
+  for (auto _ : state) {
+    for (serve::SessionId id = 1; id <= kSessions; ++id) pool.open_session(id);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t f = 0; f < frames.front().size(); ++f)
+      for (const auto& session : frames) pool.submit(session[f]);
+    pool.drain();
+    const auto t1 = std::chrono::steady_clock::now();
+    for (serve::SessionId id = 1; id <= kSessions; ++id) pool.close_session(id);
+    pool.drain();
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    timed_s += s;
+    state.SetIterationTime(s);
+  }
+  const serve::ShardStats shard0 = pool.shard_stats(0);
+  state.counters["per_event"] =
+      timed_s * 1e9 /
+      (static_cast<double>(state.iterations()) * kSessions *
+       static_cast<double>(in.events_per_session));
+  state.counters["frames_per_batch"] =
+      static_cast<double>(shard0.frames) / static_cast<double>(shard0.batches);
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_ProtocolReplay, nras, ProtocolKind::kNras)
@@ -408,5 +484,6 @@ BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossy, 0.001)
 BENCHMARK(BM_OnlineFeed);
 // Fixed like the recovery query: each timed pass feeds a cadence untimed.
 BENCHMARK(BM_OnlineCompact)->UseManualTime()->Iterations(200);
+BENCHMARK(BM_ServeIngest)->UseManualTime();
 
 BENCHMARK_MAIN();

@@ -7,7 +7,7 @@
 // should buy throughput (up to the core count), more sessions should cost
 // only fixed per-session memory, never per-event time.
 //
-// Reported per "s{shards}x{sessions}" section (--json, rdt-bench-v1):
+// Reported per "s{shards}x{sessions}" section (--json, rdt-bench-v2):
 //   events_per_sec            aggregate drained ingest throughput
 //   frames, events, wall_seconds
 //   cheap_query_us_p50/p99    is_rdt_so_far+stats latency percentiles

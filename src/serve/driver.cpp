@@ -32,10 +32,8 @@ struct ClientTally {
   std::vector<double> recovery_query_us;
 };
 
-// Replays `events` through real protocol instances and encodes each send's
-// payload with the protocol's declared codec, chopped into one
-// PiggybackSection per `batch`-event frame. Runs once per driver run; the
-// per-frame sections are then shared read-only by every producer thread.
+}  // namespace
+
 std::vector<PiggybackSection> build_piggyback_sections(
     std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
     std::size_t batch) {
@@ -104,6 +102,8 @@ std::vector<PiggybackSection> build_piggyback_sections(
   }
   return sections;
 }
+
+namespace {
 
 // The producer body: round-robin the owned sessions, one frame each per
 // pass, so every shard sees interleaved multi-tenant traffic. The frame

@@ -64,6 +64,14 @@ struct DriverReport {
   long long piggyback_rejected = 0;
 };
 
+// Replays `events` through real protocol instances and encodes each send's
+// payload with the protocol's declared codec, chopped into one
+// PiggybackSection per `batch`-event frame. run_clients calls it once per
+// run and shares the sections read-only across its producer threads.
+std::vector<PiggybackSection> build_piggyback_sections(
+    std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
+    std::size_t batch);
+
 DriverReport run_clients(ServePool& pool, std::span<const StreamEvent> events,
                          const DriverOptions& options);
 

@@ -21,7 +21,7 @@ ServePool::ServePool(PoolOptions options) : options_(options) {
     {
       // The worker is not running yet, but TSA checks the guarded writes.
       const MutexLock lock(shard->mu);
-      shard->ring.resize(options_.queue_frames);
+      shard->queue.resize(options_.queue_frames);
     }
     shards_.push_back(std::move(shard));
   }
@@ -84,22 +84,25 @@ void ServePool::open_session(SessionId id, const RetentionPolicy& retention) {
     engine = std::make_shared<OnlineEngine>(engine_options);
   const MutexLock lock(s.mu);
   const bool inserted =
-      s.sessions
-          .emplace(id, Session{std::move(engine),
-                               std::make_shared<SessionCodec>(), false})
-          .second;
+      s.sessions.emplace(id, Session{std::move(engine), {}, false}).second;
   RDT_REQUIRE(inserted, "session id is already open on this pool");
   ++s.stats.sessions_opened;
   if (recycled) ++s.stats.engines_recycled;
 }
 
-void ServePool::push_item(Shard& shard, Item item) {
-  const std::size_t slot = (shard.head + shard.count) % shard.ring.size();
-  shard.ring[slot] = std::move(item);
-  ++shard.count;
+ServePool::Item& ServePool::push_item(Shard& shard, bool& wake) {
+  Item& item = shard.queue[shard.queued++];
   shard.stats.max_queue_depth =
-      std::max(shard.stats.max_queue_depth, shard.count);
-  shard.nonempty.notify_one();
+      std::max(shard.stats.max_queue_depth, shard.queued);
+  wake = shard.worker_waiting;
+  shard.worker_waiting = false;  // one wake-up per worker wait
+  return item;
+}
+
+void ServePool::wait_for_space(Shard& shard) {
+  ++shard.space_waiters;
+  shard.space.wait(shard.mu);
+  --shard.space_waiters;
 }
 
 void ServePool::submit(std::span<const std::uint8_t> frame) {
@@ -107,122 +110,140 @@ void ServePool::submit(std::span<const std::uint8_t> frame) {
   RDT_REQUIRE(header.frame_end == frame.size(),
               "submit expects exactly one encoded frame");
   Shard& s = shard_for(header.session);
-  const MutexLock lock(s.mu);
-  std::shared_ptr<OnlineEngine> engine;
-  std::shared_ptr<SessionCodec> codec;
-  for (;;) {
-    // Re-validate after every wait: the session can be closed (or the map
-    // rehashed by another open) while this thread slept on backpressure.
-    const auto it = s.sessions.find(header.session);
-    RDT_REQUIRE(it != s.sessions.end() && !it->second.closing,
-                "frame submitted for a session that is not open");
-    if (s.count < s.ring.size()) {
-      engine = it->second.engine;
-      codec = it->second.codec;
-      break;
+  bool wake = false;
+  {
+    const MutexLock lock(s.mu);
+    for (;;) {
+      // Re-validate after every wait: the session can be closed (or the
+      // map rehashed by another open) while this thread slept on
+      // backpressure.
+      const auto it = s.sessions.find(header.session);
+      RDT_REQUIRE(it != s.sessions.end() && !it->second.closing,
+                  "frame submitted for a session that is not open");
+      if (s.queued < options_.queue_frames) {
+        Item& item = push_item(s, wake);
+        item.bytes.assign(frame.begin(), frame.end());
+        item.session = header.session;
+        item.engine = it->second.engine.get();
+        item.codec = &it->second.codec;
+        item.close = false;
+        break;
+      }
+      wait_for_space(s);
     }
-    s.space.wait(s.mu);
   }
-  Item item;
-  if (!s.buffer_pool.empty()) {
-    item.bytes = std::move(s.buffer_pool.back());
-    s.buffer_pool.pop_back();
-  }
-  item.bytes.assign(frame.begin(), frame.end());
-  item.session = header.session;
-  item.engine = std::move(engine);
-  item.codec = std::move(codec);
-  push_item(s, std::move(item));
+  // Signalled after the unlock, so the woken worker does not block on mu.
+  if (wake) s.nonempty.notify_one();
 }
 
 void ServePool::close_session(SessionId id) {
   Shard& s = shard_for(id);
-  const MutexLock lock(s.mu);
-  const auto it = s.sessions.find(id);
-  RDT_REQUIRE(it != s.sessions.end() && !it->second.closing,
-              "close of a session that is not open");
-  it->second.closing = true;  // later submits fail; queued frames still apply
-  while (s.count == s.ring.size()) s.space.wait(s.mu);
-  Item item;
-  item.session = id;
-  item.close = true;
-  push_item(s, std::move(item));
+  bool wake = false;
+  {
+    const MutexLock lock(s.mu);
+    const auto it = s.sessions.find(id);
+    RDT_REQUIRE(it != s.sessions.end() && !it->second.closing,
+                "close of a session that is not open");
+    it->second.closing = true;  // later submits fail; queued frames apply
+    while (s.queued == options_.queue_frames) wait_for_space(s);
+    Item& item = push_item(s, wake);
+    item.session = id;
+    item.close = true;
+  }
+  if (wake) s.nonempty.notify_one();
 }
 
 void ServePool::drain() {
   for (auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    while (shard->count > 0 || shard->busy) shard->idle.wait(shard->mu);
+    Shard& s = *shard;
+    const MutexLock lock(s.mu);
+    while (s.queued > 0 || s.busy) s.idle.wait(s.mu);
+  }
+}
+
+void ServePool::fold_batch(Shard& shard, std::span<const Item> batch,
+                           const ShardStats& tally) {
+  shard.stats.frames += tally.frames;
+  shard.stats.events += tally.events;
+  shard.stats.rejected += tally.rejected;
+  shard.stats.piggyback_frames += tally.piggyback_frames;
+  shard.stats.piggyback_bits += tally.piggyback_bits;
+  shard.stats.piggyback_rejected += tally.piggyback_rejected;
+  for (const Item& item : batch) {
+    if (!item.close) continue;
+    // Every frame of the session preceded its close, so the whole batch
+    // has been applied and nothing still points at this entry. The
+    // closing flag blocks a second close and open_session rejects the id
+    // while mapped, so the entry must still be here.
+    const auto it = shard.sessions.find(item.session);
+    RDT_ASSERT(it != shard.sessions.end());
+    shard.free_engines.push_back(std::move(it->second.engine));
+    shard.sessions.erase(it);
   }
 }
 
 void ServePool::worker_loop(Shard& s) {
+  // Swapped with the queue at every handoff: both arrays keep their slots
+  // and the slots keep their byte capacity.
+  std::vector<Item> batch(options_.queue_frames);
+  std::size_t batch_size = 0;
   Frame scratch;  // reused across frames: zero steady-state allocation
   PiggybackScratch pb_scratch;
+  ShardStats tally;  // the batch's counters, folded at the next lock
   for (;;) {
-    Item item;
+    bool wake_submitters = false;
     {
       const MutexLock lock(s.mu);
+      fold_batch(s, std::span<const Item>(batch.data(), batch_size), tally);
+      tally = ShardStats{};
       s.busy = false;
-      if (s.count == 0) {
+      if (s.queued == 0) {
         s.idle.notify_all();
-        while (s.count == 0 && !s.stopping) s.nonempty.wait(s.mu);
-        if (s.count == 0) return;  // stopping, queue fully drained
+        while (s.queued == 0 && !s.stopping) {
+          s.worker_waiting = true;
+          s.nonempty.wait(s.mu);
+        }
+        s.worker_waiting = false;
+        if (s.queued == 0) return;  // stopping, queue fully drained
       }
-      item = std::move(s.ring[s.head]);
-      s.head = (s.head + 1) % s.ring.size();
-      --s.count;
+      std::swap(s.queue, batch);
+      batch_size = std::exchange(s.queued, 0);
       s.busy = true;
-      s.space.notify_one();
+      ++s.stats.batches;
+      wake_submitters = s.space_waiters > 0;
     }
-    if (item.close) {
-      const MutexLock lock(s.mu);
-      const auto it = s.sessions.find(item.session);
-      // The closing flag blocks a second close and open_session rejects the
-      // id while mapped, so the entry must still be here.
-      RDT_ASSERT(it != s.sessions.end());
-      s.free_engines.push_back(std::move(it->second.engine));
-      s.sessions.erase(it);
-      continue;
-    }
-    bool ok = true;
-    bool pb_ok = true;
-    bool pb_present = false;
-    long long pb_bits = 0;
-    try {
-      std::size_t offset = 0;
-      decode_frame(item.bytes, offset, scratch);
-      item.engine->feed(scratch.events);
-      // Control data rides behind the events: decode it through the
-      // session codec so serve traffic exercises the exact path the
-      // replay engine measures. A bad section is counted separately — the
-      // events already applied stand, like a failing feed() batch tail.
-      pb_present = scratch.has_piggyback;
-      if (pb_present)
-        pb_ok = apply_piggyback(*item.codec, scratch, pb_scratch, &pb_bits);
-    } catch (const std::invalid_argument&) {
-      // Envelope checks passed at submit, but the payload (or the stream's
-      // own sequencing rules, enforced by feed) can still be bad. One bad
-      // frame is the client's problem, not the pool's: count and drop it.
-      ok = false;
-    }
-    // Drop the engine reference before parking, so an idle worker never
-    // pins a closed session's engine against the reuse guard.
-    item.engine.reset();
-    item.codec.reset();
-    const MutexLock lock(s.mu);
-    if (ok) {
-      ++s.stats.frames;
-      s.stats.events += static_cast<long long>(scratch.events.size());
-      if (pb_present && pb_ok) {
-        ++s.stats.piggyback_frames;
-        s.stats.piggyback_bits += pb_bits;
+    if (wake_submitters) s.space.notify_all();
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      const Item& item = batch[i];
+      if (item.close) continue;
+      try {
+        std::size_t offset = 0;
+        decode_frame(item.bytes, offset, scratch);
+        item.engine->feed(scratch.events);
+        // Control data rides behind the events: decode it through the
+        // session codec so serve traffic exercises the exact path the
+        // replay engine measures. A bad section is counted separately —
+        // the events already applied stand, like a failing feed() batch
+        // tail.
+        long long bits = 0;
+        const bool pb_ok =
+            !scratch.has_piggyback ||
+            apply_piggyback(*item.codec, scratch, pb_scratch, &bits);
+        ++tally.frames;
+        tally.events += static_cast<long long>(scratch.events.size());
+        if (scratch.has_piggyback && pb_ok) {
+          ++tally.piggyback_frames;
+          tally.piggyback_bits += bits;
+        }
+        if (!pb_ok) ++tally.piggyback_rejected;
+      } catch (const std::invalid_argument&) {
+        // Envelope checks passed at submit, but the payload (or the
+        // stream's own sequencing rules, enforced by feed) can still be
+        // bad. One bad frame is the client's problem, not the pool's:
+        // count and drop it.
+        ++tally.rejected;
       }
-      if (pb_present && !pb_ok) ++s.stats.piggyback_rejected;
-    } else {
-      ++s.stats.rejected;
     }
-    s.buffer_pool.push_back(std::move(item.bytes));
   }
 }
 
@@ -341,6 +362,7 @@ void ServePool::flush_metrics() const {
     m.add(m.counter(prefix + "frames"), s.frames);
     m.add(m.counter(prefix + "events"), s.events);
     m.add(m.counter(prefix + "rejected"), s.rejected);
+    m.add(m.counter(prefix + "batches"), s.batches);
     m.add(m.counter(prefix + "piggyback.frames"), s.piggyback_frames);
     m.add(m.counter(prefix + "piggyback.bits"), s.piggyback_bits);
     m.add(m.counter(prefix + "piggyback.rejected"), s.piggyback_rejected);

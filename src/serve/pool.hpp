@@ -3,12 +3,13 @@
 // One pool multiplexes many client *sessions* (independent checkpoint
 // streams, each with its own OnlineEngine) over a fixed set of S *shards*.
 // A session hashes to one shard for its whole lifetime; each shard owns a
-// bounded MPSC frame queue and one worker thread that drains frames into
-// the session engines via the batched feed(span) fast path. Clients submit
-// pre-encoded wire frames (serve/wire.hpp) from any thread and run live
-// queries (is_rdt_so_far / recovery_line / stats) concurrently — queries
-// ride the engine's lock-free read path, so a query never blocks a shard
-// worker and a worker never blocks a query.
+// bounded queue of encoded frames and one worker thread that takes the
+// whole queue in one critical section, then decodes the batch and feeds it
+// into the session engines via the batched feed(span) fast path, outside
+// the lock. Clients submit pre-encoded wire frames (serve/wire.hpp) from
+// any thread and run live queries (is_rdt_so_far / recovery_line / stats)
+// concurrently — queries ride the engine's lock-free read path, so a query
+// never blocks a shard worker and a worker never blocks a query.
 //
 // Lifecycle per session:
 //   open_session(id)   — bind id to an engine (recycled via reset() when a
@@ -19,15 +20,20 @@
 //                        full (backpressure, never unbounded memory);
 //   queries            — valid from open until close_session returns;
 //   close_session(id)  — enqueue the close *behind* every already-submitted
-//                        frame; when the worker reaches it, the engine is
-//                        retired to the shard's free list for reuse.
+//                        frame; once the worker has applied the batch that
+//                        holds it, the engine is retired to the shard's
+//                        free list for reuse.
 // drain() blocks until every shard's queue is empty and its worker idle —
 // the pool-wide "all submitted work applied" barrier.
 //
-// Steady-state serving does not allocate per event: frame byte buffers are
-// recycled through a per-shard pool, the worker decodes into one reused
-// Frame, feed() reuses the engine's internal pools, and a reopened session
-// reuses a reset engine's arenas.
+// Steady-state serving does not allocate per event: the queue and the
+// worker's batch are two fixed arrays of queue_frames slots that trade
+// places at each handoff, and a slot's byte buffer keeps its capacity for
+// the next frame copied into it; the worker decodes into one reused Frame,
+// feed() reuses the engine's internal pools, and a reopened session reuses
+// a reset engine's arenas. Memory stays bounded: a shard holds 2 x
+// queue_frames frame buffers (one queue plus one batch in flight), each
+// as large as the largest frame it has carried, plus the worker's Frame.
 //
 // Thread-safety contract (TSA-annotated, lint-enforced):
 //   * every shard field is guarded by that shard's mu; cross-shard state is
@@ -37,6 +43,9 @@
 //     cannot free an engine out from under a query, and an engine is only
 //     reset for reuse once no query still holds it (use_count() == 1 under
 //     the shard mu, where every new reference is minted);
+//   * queued items carry raw engine and codec pointers: the session entry
+//     owns both until the worker applies the session's close item, and that
+//     item is queued behind every frame of the session;
 //   * exactly one thread (the shard worker) ever feeds a given engine, as
 //     OnlineEngine's single-feeder contract requires.
 //
@@ -73,8 +82,11 @@ struct PoolOptions {
 };
 
 // Per-shard counters, read via shard_stats() or flushed to the obs registry
-// by flush_metrics(). Average batch size is events / frames; events per
+// by flush_metrics(). Average events per frame is events / frames, and the
+// mean worker batch is frames / batches (closes ride batches too); events per
 // second is events over the caller's wall clock (bench/bench_serve.cpp).
+// The worker folds its batch's counters in at its next lock, so they trail
+// the applied frames by at most one batch until drain() returns.
 // The retention fields are point-in-time samples over the shard's *open*
 // sessions (engines on the free list are excluded): cumulative compaction /
 // eviction counters plus the summed resident-bytes accounting.
@@ -82,6 +94,7 @@ struct ShardStats {
   long long frames = 0;            // frames fed into engines
   long long events = 0;            // events those frames carried
   long long rejected = 0;          // frames dropped for a malformed payload
+  long long batches = 0;           // worker hand-offs that took >= 1 item
   long long piggyback_frames = 0;  // frames whose piggyback section decoded
   long long piggyback_bits = 0;    // wire bits those sections carried
   long long piggyback_rejected = 0;  // sections dropped (bad ids or bytes)
@@ -139,15 +152,12 @@ class ServePool {
   void flush_metrics() const;
 
  private:
-  // One queue slot: an encoded frame, or a close marker (empty bytes).
-  // The engine pointer is resolved at submit time so the worker feeds
-  // without a second session-map lookup.
-  // Per-session piggyback decoder. Only the shard worker touches the
-  // contents (one worker per shard, items applied in submission order);
-  // client threads merely create and drop the shared_ptr. num_processes
-  // == 0 means "not yet configured" — the first piggyback frame fixes the
-  // (protocol, codec) pair for the session's lifetime, since the delta
-  // codec's channel shadows are stateful across frames.
+  // Per-session piggyback decoder. Only the shard worker touches it (one
+  // worker per shard, items applied in submission order), through the raw
+  // pointer its queued items carry. num_processes == 0 means "not yet
+  // configured" — the first piggyback frame fixes the (protocol, codec)
+  // pair for the session's lifetime, since the delta codec's channel
+  // shadows are stateful across frames.
   struct SessionCodec {
     PiggybackCodec codec;
     ProtocolKind protocol = ProtocolKind::kNoForce;
@@ -156,37 +166,46 @@ class ServePool {
     int num_processes = 0;
   };
 
+  struct Session {
+    std::shared_ptr<OnlineEngine> engine;
+    // Lives in the session map's node, whose address survives rehashing;
+    // erased only when the worker applies the session's close item.
+    SessionCodec codec;
+    bool closing = false;  // close queued; rejects further submits
+  };
+
+  // One queue slot: an encoded frame, or a close marker (bytes unused). The
+  // engine and codec are resolved at submit time so the worker feeds
+  // without a second session-map lookup. A slot outlives the frames it
+  // carries, so its byte buffer is reused at the capacity it grew to.
   struct Item {
     std::vector<std::uint8_t> bytes;
     SessionId session = 0;
-    std::shared_ptr<OnlineEngine> engine;
-    std::shared_ptr<SessionCodec> codec;
+    OnlineEngine* engine = nullptr;
+    SessionCodec* codec = nullptr;
     bool close = false;
-  };
-
-  struct Session {
-    std::shared_ptr<OnlineEngine> engine;
-    std::shared_ptr<SessionCodec> codec;
-    bool closing = false;  // close queued; rejects further submits
   };
 
   struct Shard {
     mutable AnnotatedMutex mu;
     // Condition variables pair with mu (std::condition_variable_any waits
     // directly on the AnnotatedMutex, keeping the capability visible to
-    // TSA at every guarded access).
+    // TSA at every guarded access). nonempty and space are signalled only
+    // when the flag or count beside them says a thread is waiting.
     std::condition_variable_any nonempty;  // queue gained an item
-    std::condition_variable_any space;     // queue lost an item
+    std::condition_variable_any space;     // worker took the queue
     std::condition_variable_any idle;      // queue empty and worker idle
-    std::vector<Item> ring RDT_GUARDED_BY(mu);  // fixed-capacity FIFO
-    std::size_t head RDT_GUARDED_BY(mu) = 0;
-    std::size_t count RDT_GUARDED_BY(mu) = 0;
-    bool busy RDT_GUARDED_BY(mu) = false;  // worker applying an item
+    bool worker_waiting RDT_GUARDED_BY(mu) = false;
+    int space_waiters RDT_GUARDED_BY(mu) = 0;
+    // FIFO of `queued` filled slots out of queue_frames; the worker swaps
+    // the whole array for its spent batch.
+    std::vector<Item> queue RDT_GUARDED_BY(mu);
+    std::size_t queued RDT_GUARDED_BY(mu) = 0;
+    bool busy RDT_GUARDED_BY(mu) = false;  // worker holds an unfolded batch
     bool stopping RDT_GUARDED_BY(mu) = false;
     std::unordered_map<SessionId, Session> sessions RDT_GUARDED_BY(mu);
     std::vector<std::shared_ptr<OnlineEngine>> free_engines
         RDT_GUARDED_BY(mu);
-    std::vector<std::vector<std::uint8_t>> buffer_pool RDT_GUARDED_BY(mu);
     ShardStats stats RDT_GUARDED_BY(mu);
     std::thread worker;  // started last in the constructor, joined first
   };
@@ -202,7 +221,16 @@ class ServePool {
 
   Shard& shard_for(SessionId id) const { return *shards_[static_cast<std::size_t>(shard_of(id))]; }
   std::shared_ptr<OnlineEngine> engine_of(SessionId id) const;
-  void push_item(Shard& shard, Item item) RDT_REQUIRES(shard.mu);
+  // Fills the next queue slot (the caller has waited for room).
+  // Sets `wake` when the worker sleeps on `nonempty`; the caller signals
+  // it once mu is released, so the woken worker does not block on mu.
+  Item& push_item(Shard& shard, bool& wake) RDT_REQUIRES(shard.mu);
+  // Sleeps once on `space`; the caller re-checks its condition.
+  void wait_for_space(Shard& shard) RDT_REQUIRES(shard.mu);
+  // Folds an applied batch into the shard: its counters, its closes
+  // retired.
+  void fold_batch(Shard& shard, std::span<const Item> batch,
+                  const ShardStats& tally) RDT_REQUIRES(shard.mu);
   void worker_loop(Shard& shard);
   // Decodes `frame`'s piggyback section through the session codec into the
   // scratch planes. Returns false (and leaves the codec unconfigured, so a

@@ -6,9 +6,12 @@
 // state") as a test rather than a comment: any accidental per-message
 // vector, Piggyback or node allocation shows up as a count difference.
 //
+// The same holds for ServePool's ingest handoff: once its buffers are warm,
+// a pass of submits and the worker's apply loop allocate nothing per frame.
+//
 // The global operator new/delete overrides make this a dedicated binary;
-// counts are taken around the replay call only, with traces generated and
-// the arena warmed beforehand.
+// counts are taken around the measured calls only, with traces generated
+// and the arena (or the pool) warmed beforehand.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +19,11 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "protocols/codec.hpp"
+#include "serve/pool.hpp"
+#include "serve/wire.hpp"
 #include "sim/environments.hpp"
 #include "sim/payload_arena.hpp"
 #include "sim/replay.hpp"
@@ -127,6 +133,42 @@ TEST(ZeroAllocation, CodecPathAllocCountIsIndependentOfTraceSize) {
       EXPECT_EQ(on_small, on_large);
     }
   }
+}
+
+// Submit copies each frame into a queue slot whose byte buffer kept its
+// capacity from earlier frames; the worker swaps the whole queue for its
+// batch and decodes into one reused Frame. Internal events leave the
+// engines' feed path nothing to grow, so a warm pass allocates nothing per
+// frame; the bound leaves room for a stray one-off growth, while a
+// per-frame allocation anywhere on the path would cost one per submitted
+// frame.
+TEST(ZeroAllocation, ServeIngestPassStaysOffTheHeap) {
+  if (kAuditsEnabled) GTEST_SKIP() << "audit builds cross-check every feed";
+  constexpr std::size_t kQueueFrames = 4;
+  constexpr int kSessions = 4;
+  constexpr int kFramesPerSession = 64;
+  constexpr long long kFramesPerPass = kSessions * kFramesPerSession;
+  serve::ServePool pool(
+      {.shards = 1, .num_processes = 4, .queue_frames = kQueueFrames});
+  std::vector<std::vector<std::uint8_t>> frames(kSessions);
+  for (int s = 0; s < kSessions; ++s) {
+    const auto id = static_cast<serve::SessionId>(s + 1);
+    pool.open_session(id);
+    const std::vector<StreamEvent> events(16, StreamEvent::internal(s));
+    serve::encode_frame(id, events, frames[static_cast<std::size_t>(s)]);
+  }
+  auto pass = [&] {
+    const long long before = g_allocs.load(std::memory_order_relaxed);
+    for (int k = 0; k < kFramesPerSession; ++k)
+      for (const std::vector<std::uint8_t>& frame : frames) pool.submit(frame);
+    pool.drain();
+    return g_allocs.load(std::memory_order_relaxed) - before;
+  };
+  (void)pass();  // warm: grows the slots' buffers and the worker's Frame
+  const long long steady = pass();
+  EXPECT_EQ(pool.shard_stats(0).frames, 2 * kFramesPerPass);
+  EXPECT_LT(steady, kFramesPerPass / 8)
+      << "the ingest handoff allocates per frame";
 }
 
 }  // namespace

@@ -241,6 +241,33 @@ TEST(ServeRejection, MalformedPayloadIsDroppedNotFatal) {
   expect_matches_standalone(pool, 1, standalone);
 }
 
+// The worker takes the whole queue per critical section: every frame and
+// close rides some batch, and a batch holds at least one item.
+TEST(ServePool, BatchesCountWorkerHandoffs) {
+  RandomEnvConfig cfg;
+  cfg.num_processes = 4;
+  cfg.duration = 12.0;
+  cfg.basic_ckpt_mean = 5.0;
+  cfg.seed = 3;
+  const std::vector<StreamEvent> stream =
+      record_replay(random_environment(cfg), ProtocolKind::kFdas);
+
+  ServePool pool({.shards = 1, .num_processes = 4, .queue_frames = 4});
+  constexpr long long kSessions = 3;
+  for (SessionId id = 1; id <= kSessions; ++id) {
+    pool.open_session(id);
+    submit_stream(pool, id, stream, 7);
+  }
+  for (SessionId id = 1; id <= kSessions; ++id) pool.close_session(id);
+  pool.drain();
+  const ShardStats stats = pool.shard_stats(0);
+  EXPECT_EQ(stats.frames,
+            kSessions * static_cast<long long>((stream.size() + 6) / 7));
+  EXPECT_GE(stats.batches, 1);
+  EXPECT_LE(stats.batches, stats.frames + kSessions);
+  EXPECT_LE(stats.max_queue_depth, 4u);
+}
+
 TEST(ServeRecycle, ReopenedSessionReusesEngineBitIdentically) {
   RandomEnvConfig cfg;
   cfg.num_processes = 4;
@@ -442,6 +469,106 @@ TEST(ServeConcurrency, QueryThreadsDuringConcurrentIngest) {
   standalone.feed(stream);
   for (SessionId id = 1; id <= kSessions; ++id)
     expect_matches_standalone(pool, id, standalone);
+}
+
+// Sessions closed while their frames are still queued, then reopened under
+// the same ids on recycled engines, with a two-frame queue so producers
+// block on every handoff. Queued items carry raw engine and codec
+// pointers: the close must not retire an engine before the batch holding
+// the session's frames is applied. Query threads probe the same ids
+// throughout (a closed id throws, which is part of the contract).
+TEST(ServeConcurrency, CloseReopenWhileFramesQueued) {
+  std::vector<std::vector<StreamEvent>> streams;
+  for (std::uint64_t seed = 21; seed < 24; ++seed) {
+    RandomEnvConfig cfg;
+    cfg.num_processes = 4;
+    cfg.duration = 10.0;
+    cfg.basic_ckpt_mean = 5.0;
+    cfg.seed = seed;
+    streams.push_back(
+        record_replay(random_environment(cfg), ProtocolKind::kBhmr));
+  }
+  constexpr int kProducers = 2;
+  constexpr int kSessionsPerProducer = 2;
+  constexpr int kSessions = kProducers * kSessionsPerProducer;
+  constexpr int kRounds = 6;
+  // Round r feeds session id a different stream than round r - 1, so a
+  // reopened engine that kept any earlier tenant's state would diverge.
+  auto stream_for = [&streams](SessionId id, int round) -> const auto& {
+    return streams[(id + static_cast<std::size_t>(round)) % streams.size()];
+  };
+  ServePool pool({.shards = 2, .num_processes = 4, .queue_frames = 2});
+
+  std::atomic<bool> done{false};
+  std::atomic<long long> query_fold{0};
+  std::vector<std::thread> queriers;
+  for (int t = 0; t < 2; ++t) {
+    queriers.emplace_back([&pool, &done, &query_fold] {
+      long long fold = 0;
+      while (!done.load(std::memory_order_relaxed)) {
+        for (SessionId id = 1; id <= kSessions; ++id) {
+          try {
+            fold += pool.is_rdt_so_far(id) ? 1 : 0;
+            fold += pool.recovery_line(id).value.total_rollback;
+          } catch (const std::invalid_argument&) {
+            // Between close and reopen the id is not open.
+          }
+        }
+      }
+      query_fold.fetch_add(fold, std::memory_order_relaxed);
+    });
+  }
+
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&pool, &stream_for, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (int k = 0; k < kSessionsPerProducer; ++k) {
+          const auto id = static_cast<SessionId>(1 + t * kSessionsPerProducer + k);
+          // The previous round's close may still sit behind queued frames;
+          // the id reopens once the worker has applied it.
+          for (;;) {
+            try {
+              pool.open_session(id);
+              break;
+            } catch (const std::invalid_argument&) {
+              std::this_thread::yield();
+            }
+          }
+          submit_stream(pool, id, stream_for(id, round), 5);
+          if (round + 1 < kRounds) pool.close_session(id);
+        }
+      }
+    });
+  }
+  for (std::thread& p : producers) p.join();
+  pool.drain();
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& q : queriers) q.join();
+  EXPECT_GE(query_fold.load(), 0);
+
+  // Every frame was fed into the engine of the session it was submitted
+  // for: a frame applied to a reset engine would break that stream's
+  // sequencing rules and be counted as rejected.
+  long long frames = 0;
+  for (SessionId id = 1; id <= kSessions; ++id)
+    for (int round = 0; round < kRounds; ++round)
+      frames += static_cast<long long>((stream_for(id, round).size() + 4) / 5);
+  ShardStats total;
+  for (int s = 0; s < pool.num_shards(); ++s) {
+    const ShardStats shard = pool.shard_stats(s);
+    total.frames += shard.frames;
+    total.rejected += shard.rejected;
+    total.engines_recycled += shard.engines_recycled;
+  }
+  EXPECT_EQ(total.frames, frames);
+  EXPECT_EQ(total.rejected, 0);
+  EXPECT_GT(total.engines_recycled, 0);
+  for (SessionId id = 1; id <= kSessions; ++id) {
+    OnlineEngine standalone(EngineOptions{4});
+    standalone.feed(stream_for(id, kRounds - 1));
+    expect_matches_standalone(pool, id, standalone);
+  }
 }
 
 // The full driver workload — interleaved timed queries, session closes, a
