@@ -18,7 +18,7 @@ namespace {
 using namespace rdt;
 using namespace rdt::bench;
 
-void sweep_chain_length(BenchReport& report, int seeds) {
+void sweep_chain_length(BenchReport& report, int seeds, int threads) {
   Table table({"servers", "CBR", "NRAS", "FDI", "FDAS", "BHMR-V2", "BHMR-V1",
                "BHMR", "ADAPT"});
   for (int servers : {2, 4, 8, 12}) {
@@ -28,7 +28,7 @@ void sweep_chain_length(BenchReport& report, int seeds) {
       cfg.seed = seed;
       return client_server_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, study_protocols(), seeds);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     report.add_sweep("chain_length",
                      {{"num_servers", servers}, {"seeds", seeds}}, stats);
     table.begin_row().add(servers);
@@ -40,7 +40,7 @@ void sweep_chain_length(BenchReport& report, int seeds) {
   table.print(std::cout);
 }
 
-void sweep_forward_prob(BenchReport& report, int seeds) {
+void sweep_forward_prob(BenchReport& report, int seeds, int threads) {
   Table table({"fwd prob", "CBR", "NRAS", "FDI", "FDAS", "BHMR-V2", "BHMR-V1",
                "BHMR", "ADAPT"});
   for (double prob : {0.25, 0.5, 0.75, 1.0}) {
@@ -50,7 +50,7 @@ void sweep_forward_prob(BenchReport& report, int seeds) {
       cfg.seed = seed;
       return client_server_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, study_protocols(), seeds);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     report.add_sweep("forward_prob",
                      {{"forward_prob", prob}, {"seeds", seeds}}, stats);
     table.begin_row().add(prob, 2);
@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   banner("E3 (client/server chains)",
          "forced-checkpoint overhead under synchronous request chains");
   const int seeds = args.seeds(10);
-  sweep_chain_length(report, seeds);
-  sweep_forward_prob(report, seeds);
+  sweep_chain_length(report, seeds, args.threads());
+  sweep_forward_prob(report, seeds, args.threads());
   report.finish();
   return 0;
 }

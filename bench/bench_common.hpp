@@ -149,17 +149,6 @@ inline const std::vector<EnvPreset>& env_presets() {
   return presets;
 }
 
-// sweep_parallel across all available cores; results are identical to the
-// serial sweep (seeds are folded in seed order either way).
-inline std::vector<ProtocolStats> parallel_sweep(
-    const std::function<Trace(std::uint64_t)>& generate,
-    std::span<const ProtocolKind> kinds, int num_seeds,
-    std::uint64_t seed0 = 1) {
-  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-  return sweep_parallel(generate, kinds, num_seeds, static_cast<int>(threads),
-                        seed0);
-}
-
 // The dependency-tracking protocols the study sweeps (baseline first). CBR
 // is included as the classic upper bound; NRAS as the piggyback-free one;
 // the adaptive meta-protocol closes the list as the lattice traveller.

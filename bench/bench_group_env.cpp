@@ -17,7 +17,7 @@ namespace {
 using namespace rdt;
 using namespace rdt::bench;
 
-void sweep_overlap(BenchReport& report, int seeds) {
+void sweep_overlap(BenchReport& report, int seeds, int threads) {
   Table table({"overlap", "n", "CBR", "NRAS", "FDI", "FDAS", "BHMR-V2",
                "BHMR-V1", "BHMR", "ADAPT"});
   for (int overlap : {0, 1, 2}) {
@@ -28,7 +28,7 @@ void sweep_overlap(BenchReport& report, int seeds) {
       cfg.seed = seed;
       return group_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, study_protocols(), seeds);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     report.add_sweep("overlap",
                      {{"num_groups", base.num_groups},
                       {"group_size", base.group_size},
@@ -43,7 +43,7 @@ void sweep_overlap(BenchReport& report, int seeds) {
   table.print(std::cout);
 }
 
-void sweep_group_count(BenchReport& report, int seeds) {
+void sweep_group_count(BenchReport& report, int seeds, int threads) {
   Table table({"groups", "n", "CBR", "NRAS", "FDI", "FDAS", "BHMR-V2",
                "BHMR-V1", "BHMR", "ADAPT"});
   for (int groups : {2, 4, 6}) {
@@ -54,7 +54,7 @@ void sweep_group_count(BenchReport& report, int seeds) {
       cfg.seed = seed;
       return group_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, study_protocols(), seeds);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     report.add_sweep("group_count",
                      {{"num_groups", groups},
                       {"group_size", base.group_size},
@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   banner("E2 (overlapping group communication)",
          "forced-checkpoint overhead with group-local traffic");
   const int seeds = args.seeds(10);
-  sweep_overlap(report, seeds);
-  sweep_group_count(report, seeds);
+  sweep_overlap(report, seeds, args.threads());
+  sweep_group_count(report, seeds, args.threads());
   report.finish();
   return 0;
 }

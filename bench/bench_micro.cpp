@@ -35,7 +35,6 @@
 #include "core/global_checkpoint.hpp"
 #include "core/rdt_checker.hpp"
 #include "online/engine.hpp"
-#include "protocols/registry.hpp"
 #include "recovery/recovery_line.hpp"
 #include "serve/driver.hpp"
 #include "serve/pool.hpp"
@@ -74,11 +73,10 @@ void BM_ProtocolReplay(benchmark::State& state, ProtocolKind kind) {
 // codec, a warm arena (random environment, n = 8, duration 400).
 void BM_ReplayDeclaredCodec(benchmark::State& state, ProtocolKind kind) {
   const Trace trace = make_trace(8, 400.0);
-  const auto codec = ProtocolRegistry::instance().info(kind).codec;
   PayloadArena arena;
-  replay_metrics(trace, kind, &arena, codec);  // warm the arena
+  replay_metrics(trace, kind, &arena);  // warm the arena
   for (auto _ : state) {
-    const ReplayResult r = replay_metrics(trace, kind, &arena, codec);
+    const ReplayResult r = replay_metrics(trace, kind, &arena);
     benchmark::DoNotOptimize(r.forced);
   }
   state.SetItemsProcessed(state.iterations() * trace.num_messages());
@@ -86,7 +84,7 @@ void BM_ReplayDeclaredCodec(benchmark::State& state, ProtocolKind kind) {
 }
 
 // BHMR's payloads from the study trace, in send order with their channels:
-// the flat replay path leaves every message's planes in the arena.
+// a replay leaves every message's decoded planes in the arena.
 struct RecordedPayloads {
   struct Send {
     MsgId msg;
@@ -139,7 +137,7 @@ void BM_CodecDecode(benchmark::State& state, PiggybackCodecKind kind) {
   for (const RecordedPayloads::Send& m : rec.sends)
     codec.encode(m.src, m.dest, rec.arena.view(m.msg), wire);
   PayloadArena slot;
-  slot.reset(8, rec.shape, 1);
+  slot.reset(8, rec.shape, 1, kind);
   for (auto _ : state) {
     codec.reset(kind, 8, rec.shape);
     std::size_t offset = 0;

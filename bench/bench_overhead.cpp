@@ -4,7 +4,9 @@
 // function of the process count. The flat columns are the paper's analytic
 // figures (TDV entries counted as 32-bit integers, one bit per plane
 // cell); the wire columns are what the protocol's declared codec actually
-// puts on a first message — the honest number the sweeps now report.
+// puts on a first message — the honest number the sweeps now report. Past
+// kMaxDeltaProcesses (64) a declared delta codec is carried by sparse
+// (ProtocolInfo::codec_for), so the n = 128 row is sparse-coded.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -18,7 +20,8 @@ int main(int argc, char** argv) {
   std::cout << "==================================================================\n"
                "E5 (piggyback overhead) — control bits per application message\n"
                "flat: TDV = n x 32-bit integers; simple = n bits; causal = n^2\n"
-               "wire: the declared codec's first-message encoding (measured)\n"
+               "wire: the declared codec's first-message encoding (measured;\n"
+               "      delta is capped at n = 64, sparse carries larger n)\n"
                "==================================================================\n";
   Table table({"n", "FDAS flat", "FDAS wire", "BHMR-V1 flat", "BHMR-V1 wire",
                "BHMR flat", "BHMR wire", "BHMR wire bytes"});

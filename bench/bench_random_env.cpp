@@ -16,7 +16,7 @@ namespace {
 using namespace rdt;
 using namespace rdt::bench;
 
-void sweep_ckpt_period(BenchReport& report, int num_processes, int seeds) {
+void sweep_ckpt_period(BenchReport& report, int num_processes, int seeds, int threads) {
   Table table({"basic-ckpt period", "msgs/interval", "CBR", "NRAS", "FDI",
                "FDAS", "BHMR-V2", "BHMR-V1", "BHMR", "ADAPT"});
   for (double period : {2.0, 5.0, 10.0, 20.0, 40.0}) {
@@ -27,7 +27,7 @@ void sweep_ckpt_period(BenchReport& report, int num_processes, int seeds) {
       cfg.seed = seed;
       return random_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, study_protocols(), seeds);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     report.add_sweep("ckpt_period",
                      {{"num_processes", num_processes},
                       {"basic_ckpt_mean", period},
@@ -44,7 +44,7 @@ void sweep_ckpt_period(BenchReport& report, int num_processes, int seeds) {
   table.print(std::cout);
 }
 
-void sweep_process_count(BenchReport& report, int seeds) {
+void sweep_process_count(BenchReport& report, int seeds, int threads) {
   Table table({"n", "CBR", "NRAS", "FDI", "FDAS", "BHMR-V2", "BHMR-V1",
                "BHMR", "ADAPT"});
   for (int n : {4, 8, 16}) {
@@ -54,7 +54,7 @@ void sweep_process_count(BenchReport& report, int seeds) {
       cfg.seed = seed;
       return random_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, study_protocols(), seeds);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     report.add_sweep("process_count",
                      {{"num_processes", n}, {"seeds", seeds}}, stats);
     table.begin_row().add(n);
@@ -65,7 +65,7 @@ void sweep_process_count(BenchReport& report, int seeds) {
   table.print(std::cout);
 }
 
-void fifo_ablation(BenchReport& report, int seeds) {
+void fifo_ablation(BenchReport& report, int seeds, int threads) {
   Table table({"channels", "NRAS", "FDAS", "BHMR"});
   const std::vector<ProtocolKind> kinds{ProtocolKind::kNras,
                                         ProtocolKind::kFdas,
@@ -77,7 +77,7 @@ void fifo_ablation(BenchReport& report, int seeds) {
       cfg.seed = seed;
       return random_environment(cfg);
     };
-    const auto stats = parallel_sweep(generate, kinds, seeds);
+    const auto stats = sweep(generate, kinds, seeds, threads);
     report.add_sweep("fifo_ablation",
                      {{"fifo_channels", fifo}, {"seeds", seeds}}, stats);
     table.begin_row().add(fifo ? "FIFO" : "non-FIFO");
@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
   banner("E1 (random environments)",
          "forced-checkpoint overhead under uniform point-to-point traffic");
   const int seeds = args.seeds(10);
-  sweep_ckpt_period(report, /*num_processes=*/8, seeds);
-  sweep_process_count(report, seeds);
-  fifo_ablation(report, seeds);
+  sweep_ckpt_period(report, /*num_processes=*/8, seeds, args.threads());
+  sweep_process_count(report, seeds, args.threads());
+  fifo_ablation(report, seeds, args.threads());
   report.finish();
   return 0;
 }

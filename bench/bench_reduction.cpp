@@ -68,7 +68,8 @@ std::vector<EnvCase> environments() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchReport report("reduction", argc, argv);
+  const BenchArgs args = parse_bench_args(argc, argv);
+  BenchReport report("reduction", args);
   banner("E4 (reduction vs FDAS)",
          "percentage of forced checkpoints saved w.r.t. FDAS per environment");
   const int seeds = 12;
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
                "BHMR %"});
   double min_bhmr_reduction = 100.0;
   for (const auto& env : environments()) {
-    const auto stats = parallel_sweep(env.generate, kinds, seeds);
+    const auto stats = sweep(env.generate, kinds, seeds, args.threads());
     report.add_sweep(env.name, {{"seeds", seeds}}, stats);
     table.begin_row().add(env.name);
     table.add(stats[0].total_forced);

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   auto run = [&](const std::string& name,
                  const std::function<Trace(std::uint64_t)>& generate) {
     const auto t0 = Clock::now();
-    const auto stats =
-        sweep_parallel(generate, study_protocols(), seeds, threads);
+    const auto stats = sweep(generate, study_protocols(), seeds, threads);
     const double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();
     const double replays =

@@ -8,11 +8,11 @@
 //    A protocol dominates when it sits below-left of another: fewer forced
 //    checkpoints for fewer piggybacked bits.
 //  * equivalence: the codec soundness contract, checked the expensive way.
-//    For each env x protocol, one full replay down the flat path and one
-//    through the declared codec must agree on every analysis output:
-//    forced/basic counts, the per-predicate attribution, the complete
-//    RDT characterization verdict (analyze_rdt), and the recovery line
-//    after a failure of process 0. Codecs change representation, never
+//    For each env x protocol, one full replay through the flat reference
+//    codec and one through the declared codec must agree on every
+//    analysis output: forced/basic counts, the per-predicate attribution,
+//    the complete RDT characterization verdict (analyze_rdt), and the
+//    recovery line after a failure of process 0. Codecs change representation, never
 //    semantics; `all_ok` is the bit CI gates on.
 //  * codec_comparison: every payload-carrying protocol forced through all
 //    three codecs on the random environment — the off-diagonal cells the
@@ -42,8 +42,8 @@ std::vector<ProtocolKind> pareto_protocols() {
   return kinds;
 }
 
-// One flat-path and one codec-path replay over the same trace, compared on
-// every analysis output. Returns the per-field comparison for the JSON
+// One flat-codec (the reference layout) and one declared-codec replay over
+// the same trace, compared on every analysis output. Returns the per-field comparison for the JSON
 // report; `ok` only when every field agrees.
 struct EquivalenceRow {
   bool counts_ok = false;    // messages / basic / forced
@@ -58,11 +58,8 @@ struct EquivalenceRow {
 };
 
 EquivalenceRow check_equivalence(const Trace& trace, ProtocolKind kind) {
-  const ProtocolInfo& info = ProtocolRegistry::instance().info(kind);
-  const ReplayResult flat = replay(trace, kind);
-  ReplayOptions options;
-  options.wire_codec = info.codec;
-  const ReplayResult wire = replay(trace, kind, options);
+  const ReplayResult flat = replay(trace, kind, {.wire_codec = PiggybackCodecKind::kFlat});
+  const ReplayResult wire = replay(trace, kind);
 
   EquivalenceRow row;
   row.counts_ok = flat.messages == wire.messages &&
@@ -104,8 +101,7 @@ int main(int argc, char** argv) {
 
   // --- Section 1: the Pareto sweep, one table per environment. -----------
   for (const EnvPreset& env : env_presets()) {
-    const std::vector<ProtocolStats> stats =
-        sweep_parallel(env.generate, kinds, seeds, threads);
+    const std::vector<ProtocolStats> stats = sweep(env.generate, kinds, seeds, threads);
     Table table({"protocol", "codec", "R = forced/basic", "wire bits/msg",
                  "flat bits/msg", "wire/flat"});
     for (const ProtocolStats& s : stats) {
@@ -127,7 +123,7 @@ int main(int argc, char** argv) {
                      {{"seeds", seeds}, {"threads", threads}}, stats);
   }
 
-  // --- Section 2: flat path vs declared codec path, full analysis. -------
+  // --- Section 2: flat codec vs declared codec, full analysis. -----------
   // One trace per environment (fixed seed): the expensive O(C^2)
   // characterization suite runs twice per cell, so this section stays
   // narrow and deterministic rather than sweeping.
@@ -161,7 +157,7 @@ int main(int argc, char** argv) {
           {"flat_bits_per_message", row.flat_bits_per_message}});
     }
   }
-  std::cout << "codec-path replay vs flat-path replay (seed 1):\n";
+  std::cout << "declared-codec replay vs flat-codec replay (seed 1):\n";
   eq_table.print(std::cout);
   std::cout << (all_ok ? "\nall cells bit-identical — codecs changed "
                          "representation only.\n\n"

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   std::vector<ProtocolKind> kinds;
   kinds.reserve(registry.all().size());
   for (const ProtocolInfo& info : registry.all()) kinds.push_back(info.kind);
-  const auto stats = sweep(generate, kinds, seeds);
+  const auto stats = sweep(generate, kinds, seeds, /*threads=*/1);
 
   Table table({"protocol", "codec", "R = forced/basic", "forced/message",
                "wire bits/msg", "flat bits/msg", "ensures RDT"});

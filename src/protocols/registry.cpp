@@ -132,6 +132,12 @@ ProtocolInfo describe(ProtocolKind kind) {
 
 }  // namespace
 
+PiggybackCodecKind ProtocolInfo::codec_for(int num_processes) const {
+  const bool past_delta_cap =
+      codec == PiggybackCodecKind::kDelta && num_processes > kMaxDeltaProcesses;
+  return past_delta_cap ? PiggybackCodecKind::kSparse : codec;
+}
+
 std::size_t ProtocolInfo::piggyback_bits(int num_processes) const {
   // Measured: the declared codec's encoding of the protocol's first
   // message, P_0 -> P_1 on fresh state. With one process no channel
@@ -141,7 +147,7 @@ std::size_t ProtocolInfo::piggyback_bits(int num_processes) const {
       ProtocolRegistry::instance().create(kind, num_processes, /*self=*/0);
   Piggyback payload = proto->make_payload();
   proto->on_send(/*dest=*/1, payload.slot());
-  PiggybackCodec wire(codec, num_processes, proto->payload_shape());
+  PiggybackCodec wire(codec_for(num_processes), num_processes, proto->payload_shape());
   std::vector<std::uint8_t> bytes;
   return wire.encode(/*src=*/0, /*dest=*/1, payload.view(), bytes) * 8;
 }

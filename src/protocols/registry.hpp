@@ -39,6 +39,12 @@ struct ProtocolInfo {
   PayloadShape shape;
   PiggybackCodecKind codec = PiggybackCodecKind::kFlat;
 
+  // The codec an n-process computation actually uses: `codec`, except that
+  // a declared delta codec past kMaxDeltaProcesses falls back to sparse —
+  // the only compact codec without that cap. Replay's default, the sweeps
+  // and piggyback_bits() all resolve the declared codec here.
+  PiggybackCodecKind codec_for(int num_processes) const;
+
   // *Measured* control bits one message carries for an n-process
   // computation: the declared codec's encoding of the protocol's first
   // message (P0 -> P1 on fresh state). Per-replay means come from

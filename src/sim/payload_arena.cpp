@@ -19,8 +19,9 @@ void ensure_size(std::vector<T>& v, std::size_t size) {
 
 void PayloadArena::reset(int num_processes, PayloadShape shape,
                          std::size_t num_messages,
-                         std::optional<PiggybackCodecKind> codec) {
+                         PiggybackCodecKind codec) {
   RDT_REQUIRE(num_processes >= 1, "need at least one process");
+  wire_.reset(codec, num_processes, shape);  // validates the process count
   n_ = num_processes;
   shape_ = shape;
   row_words_ = bitdetail::words_for(static_cast<std::size_t>(num_processes));
@@ -30,13 +31,9 @@ void PayloadArena::reset(int num_processes, PayloadShape shape,
   if (shape.simple) ensure_size(simple_plane_, row_words_ * num_messages);
   if (shape.causal) ensure_size(causal_plane_, n * row_words_ * num_messages);
   if (shape.index) ensure_size(index_plane_, num_messages);
-  codec_ = codec;
-  if (codec_) {
-    wire_.reset(*codec_, num_processes, shape);
-    if (shape.tdv) ensure_size(staging_tdv_, n);
-    if (shape.simple) ensure_size(staging_simple_, row_words_);
-    if (shape.causal) ensure_size(staging_causal_, n * row_words_);
-  }
+  if (shape.tdv) ensure_size(staging_tdv_, n);
+  if (shape.simple) ensure_size(staging_simple_, row_words_);
+  if (shape.causal) ensure_size(staging_causal_, n * row_words_);
 }
 
 PiggybackSlot PayloadArena::slot(MsgId m) {
@@ -64,7 +61,6 @@ PiggybackView PayloadArena::view(MsgId m) const {
 }
 
 PiggybackSlot PayloadArena::send_slot(MsgId m) {
-  if (!codec_) return slot(m);
   check(m);
   const auto n = static_cast<std::size_t>(n_);
   PiggybackSlot s;
@@ -86,7 +82,6 @@ PiggybackView PayloadArena::staging_view() const {
 }
 
 std::size_t PayloadArena::commit_send(MsgId m, ProcessId src, ProcessId dest) {
-  RDT_REQUIRE(codec_.has_value(), "commit_send() needs a wire codec");
   encode_buf_.clear();  // capacity retained — no steady-state allocation
   const PiggybackView staged = staging_view();
   const std::size_t bytes = wire_.encode(src, dest, staged, encode_buf_);

@@ -12,17 +12,16 @@
 // more capacity, so sweeping many seeds through one arena reaches a steady
 // state with zero per-message heap allocations.
 //
-// Wire-codec mode: reset() with a PiggybackCodecKind routes every send
-// through the real encode/decode path. send_slot(m) then hands out a
-// one-message staging slot for the protocol to fill; commit_send(m, src,
-// dest) encodes the staged payload with the codec, decodes the bytes back
-// into message m's arena planes (what view(m) serves at delivery), and
-// returns the measured wire bits. The codec scratch — per-channel delta
-// shadows, the encode buffer, the staging planes — obeys the same
-// grow-only, zero-steady-state-allocation discipline as the planes. Under
-// RDT_AUDITS every commit cross-checks the decoded planes against the
-// staged originals bit for bit: codecs change representation, never
-// semantics.
+// Every send goes through a PiggybackCodec, the real encode/decode path:
+// send_slot(m) hands out a one-message staging slot for the protocol to
+// fill; commit_send(m, src, dest) encodes the staged payload with the
+// codec, decodes the bytes back into message m's arena planes (what
+// view(m) serves at delivery), and returns the measured wire bits. The
+// codec scratch — per-channel delta shadows, the encode buffer, the
+// staging planes — obeys the same grow-only, zero-steady-state-allocation
+// discipline as the planes. Under RDT_AUDITS every commit cross-checks the
+// decoded planes against the staged originals bit for bit: codecs change
+// representation, never semantics.
 //
 // Slots are handed out uncleaned: the sending protocol fully overwrites
 // every present field (the fill_payload contract), and a trace's delivery
@@ -31,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "protocols/codec.hpp"
@@ -43,27 +41,25 @@ namespace rdt {
 class PayloadArena {
  public:
   // Prepare slots for `num_messages` messages of `shape` among
-  // `num_processes` processes. Existing capacity is reused; contents become
-  // unspecified. With a codec kind, sends must go through
-  // send_slot()/commit_send() and the codec's channel shadows start fresh.
+  // `num_processes` processes, carried by `codec`. Existing capacity is
+  // reused; contents become unspecified and the codec's channel shadows
+  // start fresh. Throws std::invalid_argument when the codec does not
+  // accept the process count (PiggybackCodec::reset).
   void reset(int num_processes, PayloadShape shape, std::size_t num_messages,
-             std::optional<PiggybackCodecKind> codec = std::nullopt);
+             PiggybackCodecKind codec);
 
   std::size_t capacity() const { return capacity_; }
-  bool has_codec() const { return codec_.has_value(); }
-  PiggybackCodecKind codec_kind() const { return *codec_; }
 
   PiggybackSlot slot(MsgId m);
   PiggybackView view(MsgId m) const;
 
-  // Where on_send() writes: message m's planes directly (no codec), or the
-  // staging planes (codec mode — commit_send() then moves them through the
-  // wire encoding into message m's planes).
+  // Where on_send() writes for message m: the staging planes, which
+  // commit_send() then moves through the wire encoding into m's planes.
   PiggybackSlot send_slot(MsgId m);
-  // Codec mode only: encode the staged payload for channel src -> dest,
-  // decode it into message m's planes, and return the encoded size in
-  // bits. Must be called exactly once per send_slot(), in trace send
-  // order (the delta codec's shadows advance per channel).
+  // Encode the staged payload for channel src -> dest, decode it into
+  // message m's planes, and return the encoded size in bits. Must be
+  // called exactly once per send_slot(), in trace send order (the delta
+  // codec's shadows advance per channel).
   std::size_t commit_send(MsgId m, ProcessId src, ProcessId dest);
 
  private:
@@ -83,8 +79,7 @@ class PayloadArena {
   std::vector<std::uint64_t> causal_plane_;  // n * row_words * capacity
   std::vector<CkptIndex> index_plane_;       // capacity
 
-  // Wire-codec scratch (codec mode only; all grow-only).
-  std::optional<PiggybackCodecKind> codec_;
+  // Wire-codec scratch (all grow-only).
   PiggybackCodec wire_;
   std::vector<CkptIndex> staging_tdv_;          // n
   std::vector<std::uint64_t> staging_simple_;   // row_words

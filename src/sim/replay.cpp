@@ -79,8 +79,9 @@ void flush_replay_metrics(const ReplayResult& result) {
 ReplayResult replay(const Trace& trace, ProtocolKind kind,
                     const ReplayOptions& options) {
   RDT_REQUIRE(trace.num_processes >= 1, "empty trace");
-  RDT_TRACE_SPAN("replay", "replay", "protocol",
-                 ProtocolRegistry::instance().info(kind).id.c_str());
+  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  const ProtocolInfo& info = registry.info(kind);
+  RDT_TRACE_SPAN("replay", "replay", "protocol", info.id.c_str());
 
   // Audit builds always materialize: the postconditions cross-check the
   // protocols' on-line state against the offline pattern analysis. An online
@@ -89,7 +90,14 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
                            options.online != nullptr;
   const auto num_messages = static_cast<std::size_t>(trace.num_messages());
 
-  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  // All processes run the same protocol, so every message carries the same
+  // payload shape. Sizing the arena first rejects a process count the codec
+  // does not accept before any protocol instance is built.
+  PayloadArena local_arena;
+  PayloadArena& arena = options.arena ? *options.arena : local_arena;
+  arena.reset(trace.num_processes, info.shape, num_messages,
+              options.wire_codec.value_or(info.codec_for(trace.num_processes)));
+
   std::vector<std::unique_ptr<CicProtocol>> procs;
   procs.reserve(static_cast<std::size_t>(trace.num_processes));
   for (ProcessId i = 0; i < trace.num_processes; ++i) {
@@ -97,17 +105,10 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
         registry.create(kind, trace.num_processes, i, options.observer));
     if (!materialize) procs.back()->set_save_tdv_history(false);
   }
-
-  // All processes run the same protocol, so every message carries the same
-  // payload shape and its flat size is a per-replay constant. Measured wire
-  // bits, when a codec is active, vary per message.
-  const PayloadShape shape = procs.front()->payload_shape();
+  // The flat size is a per-replay constant; measured wire bits vary per
+  // message.
   const unsigned long long flat_bits_per_message =
       procs.front()->flat_piggyback_bits();
-
-  PayloadArena local_arena;
-  PayloadArena& arena = options.arena ? *options.arena : local_arena;
-  arena.reset(trace.num_processes, shape, num_messages, options.wire_codec);
 
   PatternBuilder builder(trace.num_processes);  // cheap when unused
   builder.set_listener(options.online);
@@ -118,7 +119,6 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
   result.kind = kind;
   result.pattern_built = materialize;
   result.messages = trace.num_messages();
-  result.wire_measured = options.wire_codec.has_value();
   if (materialize) result.forced_ckpts.reserve(num_messages);
 
   for (const TraceOp& op : trace.ops) {
@@ -129,9 +129,8 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
         RDT_ASSERT(m.sender == op.process);
         self.on_send(m.receiver, arena.send_slot(op.msg));
         result.flat_bits_total += flat_bits_per_message;
-        if (arena.has_codec())
-          result.wire_bits_total +=
-              arena.commit_send(op.msg, m.sender, m.receiver);
+        result.wire_bits_total +=
+            arena.commit_send(op.msg, m.sender, m.receiver);
         if (materialize)
           msg_map[static_cast<std::size_t>(op.msg)] =
               builder.send(m.sender, m.receiver);

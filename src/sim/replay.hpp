@@ -8,18 +8,23 @@
 // behaviour, replaying different protocols over the same trace yields
 // directly comparable forced-checkpoint counts.
 //
-// Three knobs set what a replay costs (see docs/benchmarks.md):
+// Every send travels through a PiggybackCodec: the sender's payload is
+// encoded, decoded back into the PayloadArena, and the delivery reads the
+// decoded planes, so ReplayResult::wire_bits_total is always measured.
+// Codecs never change analysis results (cross-checked per message under
+// RDT_AUDITS). Two knobs set what a replay costs (see docs/benchmarks.md):
 //  * ReplayOptions::materialize_pattern = false skips the PatternBuilder,
 //    the forced-checkpoint inventory and the saved-TDV extraction — the
 //    counters (messages/basic/forced/piggyback bits) are unchanged;
-//  * ReplayOptions::wire_codec routes every payload through the real
-//    encode/decode path of a PiggybackCodec and measures wire_bits_total;
-//    analysis results are bit-identical to the flat path (cross-checked
-//    per message under RDT_AUDITS);
 //  * ReplayOptions::arena points at a caller-owned PayloadArena so the
 //    steady-state replay loop performs no per-message heap allocation.
 // Audit builds (RDT_AUDITS=ON) always materialize the pattern so the
 // replay postconditions keep their offline cross-check.
+//
+// Precondition: the codec must accept the trace's process count — at most
+// kMaxCodecProcesses (1024) processes, and at most kMaxDeltaProcesses (64)
+// for an explicit delta codec. A trace beyond that is rejected with
+// std::invalid_argument before any event is replayed.
 #pragma once
 
 #include <array>
@@ -54,12 +59,11 @@ struct ReplayOptions {
   // ForceReason naming the predicate that fired.
   ProtocolObserver* observer = nullptr;
 
-  // Optional wire codec. When set, every send stages its payload, encodes
-  // it with this codec, and decodes the bytes back into the arena — the
-  // planes a delivery reads went through the real wire representation, and
-  // ReplayResult::wire_bits_total measures the encoded size. When unset
-  // (the legacy flat path) payloads are written to the arena directly and
-  // wire bits are not measured. Codecs never change analysis results.
+  // The wire codec every send is encoded with and decoded back through;
+  // ReplayResult::wire_bits_total measures the encoded size. When unset,
+  // the protocol's declared codec at the trace's process count
+  // (ProtocolInfo::codec_for). kFlat is the byte-aligned reference layout.
+  // Codecs never change analysis results.
   std::optional<PiggybackCodecKind> wire_codec = std::nullopt;
 
   // Optional pattern stream subscriber (non-owning; must outlive the call),
@@ -83,10 +87,8 @@ struct ReplayResult {
   // Analytic flat-plane piggyback bits summed over sent messages (constant
   // per message for a given kind) — the labeled comparison column.
   unsigned long long flat_bits_total = 0;
-  // Measured encoded bits summed over sent messages; only meaningful when
-  // the replay ran with a wire codec (wire_measured).
+  // Measured encoded bits summed over sent messages.
   unsigned long long wire_bits_total = 0;
-  bool wire_measured = false;
 
   // `forced` broken down by the predicate that fired (indexed by
   // ForceReason; the kNone slot stays zero). The entries sum to `forced` —
@@ -122,10 +124,9 @@ struct ReplayResult {
                         : 0.0;
   }
   double wire_bits_per_message() const {
-    return messages > 0 && wire_measured
-               ? static_cast<double>(wire_bits_total) /
-                     static_cast<double>(messages)
-               : 0.0;
+    return messages > 0 ? static_cast<double>(wire_bits_total) /
+                              static_cast<double>(messages)
+                        : 0.0;
   }
 };
 
@@ -134,7 +135,7 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
 
 // Counters-only convenience wrapper: replay(trace, kind) without the
 // pattern/TDV materialization (unless audits force it). Pass a codec kind
-// to measure wire bits through the real encode/decode path.
+// to override the protocol's declared one.
 inline ReplayResult replay_metrics(
     const Trace& trace, ProtocolKind kind, PayloadArena* arena = nullptr,
     std::optional<PiggybackCodecKind> wire_codec = std::nullopt) {

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "obs/hooks.hpp"
-#include "protocols/registry.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -27,21 +26,19 @@ struct SeedMetrics {
 
 // Sweeps only need the overhead counters, so they take the counters-only
 // replay path (no PatternBuilder, no saved-TDV extraction) through a
-// reusable arena: zero steady-state heap traffic per message. Payloads run
-// through the protocol's declared wire codec so wire_bits is measured, not
-// asserted; codecs never change the forced-checkpoint counters.
+// reusable arena: zero steady-state heap traffic per message. Replay's
+// default codec is the protocol's declared one, so wire_bits is measured,
+// not asserted; codecs never change the forced-checkpoint counters.
 SeedMetrics measure(const Trace& trace, ProtocolKind kind,
                     PayloadArena& arena) {
-  const PiggybackCodecKind codec =
-      ProtocolRegistry::instance().info(kind).codec;
-  const ReplayResult res = replay_metrics(trace, kind, &arena, codec);
+  const ReplayResult res = replay_metrics(trace, kind, &arena);
   return {res.forced_per_basic(), res.forced_per_message(),
           res.wire_bits_per_message(), res.flat_bits_per_message(),
           res.messages, res.basic, res.forced};
 }
 
 // Folds the per-seed metric matrix (seed-major) into aggregate statistics;
-// folding in seed order makes serial and parallel sweeps bit-identical.
+// folding in seed order makes the result independent of the thread count.
 std::vector<ProtocolStats> fold(std::span<const ProtocolKind> kinds,
                                 const std::vector<std::vector<SeedMetrics>>& m) {
   std::vector<RunningStats> r(kinds.size());
@@ -89,29 +86,12 @@ struct SeedSlot {
 
 std::vector<ProtocolStats> sweep(
     const std::function<Trace(std::uint64_t seed)>& generate,
-    std::span<const ProtocolKind> kinds, int num_seeds, std::uint64_t seed0) {
-  RDT_REQUIRE(num_seeds >= 1, "need at least one seed");
-  RDT_TRACE_SPAN("sweep", "sweep");
-  std::vector<std::vector<SeedMetrics>> matrix(
-      static_cast<std::size_t>(num_seeds));
-  PayloadArena arena;
-  for (int s = 0; s < num_seeds; ++s) {
-    const Trace trace = generate(seed0 + static_cast<std::uint64_t>(s));
-    auto& row = matrix[static_cast<std::size_t>(s)];
-    row.reserve(kinds.size());
-    for (ProtocolKind kind : kinds) row.push_back(measure(trace, kind, arena));
-  }
-  return fold(kinds, matrix);
-}
-
-std::vector<ProtocolStats> sweep_parallel(
-    const std::function<Trace(std::uint64_t seed)>& generate,
     std::span<const ProtocolKind> kinds, int num_seeds, int threads,
     std::uint64_t seed0) {
   RDT_REQUIRE(num_seeds >= 1, "need at least one seed");
   RDT_REQUIRE(threads >= 1, "need at least one thread");
   RDT_REQUIRE(!kinds.empty(), "need at least one protocol");
-  RDT_TRACE_SPAN("sweep", "sweep_parallel");
+  RDT_TRACE_SPAN("sweep", "sweep");
 
   const auto num_kinds = static_cast<int>(kinds.size());
   const long long num_items =
@@ -178,7 +158,9 @@ std::vector<ProtocolStats> sweep_parallel(
       }
     }
   };
-  {
+  if (threads == 1) {
+    worker();
+  } else {
     std::vector<std::jthread> pool;
     const int spawn = static_cast<int>(
         std::min(static_cast<long long>(threads), num_items));

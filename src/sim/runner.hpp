@@ -25,26 +25,25 @@ struct ProtocolStats {
 };
 
 // Runs `num_seeds` independent traces (seeds seed0, seed0+1, ...) through
-// every protocol in `kinds`. The generator must honour its seed argument.
-// Sweeps replay in counters-only mode through one reusable PayloadArena —
-// patterns are never materialized, and the steady-state replay loop does
-// not touch the heap. Every replay runs through the protocol's declared
-// wire codec (ProtocolRegistry metadata), so wire_bits is a measured
-// quantity; flat_bits keeps the analytic comparison column.
+// every protocol in `kinds` on `threads` workers. The generator must honour
+// its seed argument. Each replay runs counters-only (no pattern) through
+// the protocol's declared wire codec at the trace's process count
+// (ProtocolInfo::codec_for), so wire_bits is a measured quantity and
+// flat_bits keeps the analytic comparison column.
+//
+// Work is a fused (seed x protocol) queue: each item replays one protocol
+// over one seed's trace. The trace is generated once per seed (under a
+// per-slot mutex), shared *const* by the replays of that seed — replay()
+// never mutates its Trace, see docs/api_tour.md — and released after its
+// last replay. Each worker owns a private PayloadArena, so the steady-state
+// replay loop does not touch the heap. Per-seed rows are folded in seed
+// order, making the aggregate bit-identical for any thread count. With
+// threads == 1 the worker runs on the calling thread and no thread is
+// started; otherwise the generator must be callable concurrently — the
+// built-in environments are, since each call owns its Rng. Throws
+// std::invalid_argument unless num_seeds >= 1, threads >= 1 and `kinds` is
+// non-empty.
 std::vector<ProtocolStats> sweep(
-    const std::function<Trace(std::uint64_t seed)>& generate,
-    std::span<const ProtocolKind> kinds, int num_seeds, std::uint64_t seed0 = 1);
-
-// Same computation fanned out over `threads` worker threads with a fused
-// (seed x protocol) work queue: each work item replays one protocol over
-// one seed's trace. The trace is generated once per seed (under a per-slot
-// mutex), shared *const* by the replays of that seed — replay() never mutates its
-// Trace, see docs/api_tour.md — and released after its last replay. Each
-// worker owns a private PayloadArena. Per-seed rows are folded in seed
-// order, making the aggregate bit-identical to the serial sweep for any
-// thread count. The generator must be callable concurrently — the built-in
-// environments are, since each call owns its Rng.
-std::vector<ProtocolStats> sweep_parallel(
     const std::function<Trace(std::uint64_t seed)>& generate,
     std::span<const ProtocolKind> kinds, int num_seeds, int threads,
     std::uint64_t seed0 = 1);

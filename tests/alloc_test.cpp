@@ -83,7 +83,8 @@ TEST(ZeroAllocation, ReplayAllocCountIsIndependentOfTraceSize) {
   PayloadArena arena;
   for (ProtocolKind kind : all_protocol_kinds()) {
     SCOPED_TRACE(to_string(kind));
-    // Warm: first replay of the largest trace sizes the arena's planes.
+    // The default codec: the protocol's declared one. Warm: first replay
+    // of the largest trace sizes the arena's planes and wire buffers.
     (void)allocs_during_replay(large, kind, arena);
     const long long on_small = allocs_during_replay(small, kind, arena);
     const long long on_large = allocs_during_replay(large, kind, arena);
@@ -101,6 +102,7 @@ TEST(ZeroAllocation, WarmArenaReplayLoopStaysOffTheHeap) {
   PayloadArena arena;
   for (ProtocolKind kind : all_protocol_kinds()) {
     SCOPED_TRACE(to_string(kind));
+    // The default codec: the protocol's declared one.
     (void)allocs_during_replay(trace, kind, arena);
     const long long steady = allocs_during_replay(trace, kind, arena);
     // Per-replay setup for n=6 is a handful of protocol objects and their
@@ -112,9 +114,9 @@ TEST(ZeroAllocation, WarmArenaReplayLoopStaysOffTheHeap) {
   }
 }
 
-// The codec path carves its wire buffers and channel shadows from the same
-// arena: once warm, routing every payload through encode/decode adds zero
-// allocations per message, for every codec kind.
+// Every explicit codec carves its wire buffers and channel shadows from the
+// same arena: once warm, routing every payload through encode/decode adds
+// zero allocations per message, for every codec kind.
 TEST(ZeroAllocation, CodecPathAllocCountIsIndependentOfTraceSize) {
   if (kAuditsEnabled)
     GTEST_SKIP() << "audit builds materialize patterns on every replay";

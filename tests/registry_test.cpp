@@ -9,6 +9,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "protocols/observer.hpp"
 #include "protocols/registry.hpp"
@@ -73,6 +74,24 @@ TEST(ProtocolRegistry, MetadataMatchesInstances) {
   EXPECT_FALSE(registry.info(ProtocolKind::kBcs).ensures_rdt);
   for (ProtocolKind kind : rdt_protocol_kinds())
     EXPECT_TRUE(registry.info(kind).ensures_rdt) << to_string(kind);
+}
+
+// The declared codec resolves per process count: delta is capped at
+// kMaxDeltaProcesses, so past it the measured figure comes from sparse and
+// experiment E5's n = 128 row exists for every kind.
+TEST(ProtocolRegistry, PiggybackBitsPastTheDeltaCap) {
+  for (const ProtocolInfo& info : ProtocolRegistry::instance().all()) {
+    const bool carries = info.shape.tdv || info.shape.simple || info.shape.causal ||
+                         info.shape.index;
+    for (int n : {kMaxDeltaProcesses, kMaxDeltaProcesses + 1, 2 * kMaxDeltaProcesses}) {
+      SCOPED_TRACE(info.id + " n=" + std::to_string(n));
+      const bool falls_back = info.codec == PiggybackCodecKind::kDelta && n > kMaxDeltaProcesses;
+      EXPECT_EQ(info.codec_for(n), falls_back ? PiggybackCodecKind::kSparse : info.codec);
+      std::size_t bits = 0;
+      EXPECT_NO_THROW(bits = info.piggyback_bits(n));
+      EXPECT_EQ(bits > 0, carries);
+    }
+  }
 }
 
 TEST(ProtocolRegistry, DeclaredPredicates) {

@@ -10,6 +10,7 @@
 #include "core/rdt_checker.hpp"
 #include "core/global_checkpoint.hpp"
 #include "core/tdv.hpp"
+#include "protocols/registry.hpp"
 #include "sim/environments.hpp"
 #include "sim/replay.hpp"
 #include "sim/runner.hpp"
@@ -67,10 +68,39 @@ TEST(Replay, PiggybackAccounting) {
   const double bhmr = replay(t, ProtocolKind::kBhmr).flat_bits_per_message();
   EXPECT_EQ(bhmr, 32.0 * t.num_processes + t.num_processes +
                       t.num_processes * t.num_processes);
-  // Without a wire codec the measured figure stays unreported.
-  const ReplayResult flat = replay(t, ProtocolKind::kBhmr);
-  EXPECT_FALSE(flat.wire_measured);
-  EXPECT_EQ(flat.wire_bits_per_message(), 0.0);
+  // Every replay measures wire bits; the default codec is the declared one.
+  const PiggybackCodecKind codec = ProtocolRegistry::instance().info(ProtocolKind::kBhmr).codec;
+  const ReplayResult by_default = replay(t, ProtocolKind::kBhmr);
+  const ReplayResult declared = replay(t, ProtocolKind::kBhmr, {.wire_codec = codec});
+  EXPECT_EQ(by_default.wire_bits_total, declared.wire_bits_total);
+  EXPECT_GT(by_default.wire_bits_per_message(), 0.0);
+}
+
+// Past kMaxDeltaProcesses a declared delta codec falls back to sparse, so
+// every kind replays a 65-process trace by default, and the codec changes
+// no counter: each matches the flat reference replay.
+TEST(Replay, DefaultCodecPastTheDeltaCapMatchesFlat) {
+  const Trace t = small_random_trace(6, kMaxDeltaProcesses + 1, 4);
+  ASSERT_GT(t.num_messages(), 0);
+  for (ProtocolKind kind : all_protocol_kinds()) {
+    SCOPED_TRACE(to_string(kind));
+    const ReplayResult by_default = replay_metrics(t, kind);
+    const ReplayResult flat = replay_metrics(t, kind, nullptr, PiggybackCodecKind::kFlat);
+    EXPECT_EQ(by_default.messages, flat.messages);
+    EXPECT_EQ(by_default.basic, flat.basic);
+    EXPECT_EQ(by_default.forced, flat.forced);
+    EXPECT_EQ(by_default.forced_by_reason, flat.forced_by_reason);
+    EXPECT_EQ(by_default.flat_bits_total, flat.flat_bits_total);
+  }
+}
+
+// Replay inherits the codecs' kMaxCodecProcesses cap.
+TEST(Replay, RejectsTracesPastTheCodecCap) {
+  Trace t;
+  t.num_processes = kMaxCodecProcesses + 1;
+  EXPECT_THROW(replay(t, ProtocolKind::kBhmr), std::invalid_argument);
+  EXPECT_THROW(replay_metrics(t, ProtocolKind::kFdas, nullptr, PiggybackCodecKind::kFlat),
+               std::invalid_argument);
 }
 
 // --- the central integration sweep: protocol x environment x seed ---------
@@ -220,7 +250,7 @@ TEST(Runner, SweepAggregatesAcrossSeeds) {
                                         ProtocolKind::kBhmr};
   const auto stats = sweep(
       [](std::uint64_t seed) { return small_random_trace(seed, 4, 60); },
-      kinds, 5, 100);
+      kinds, 5, /*threads=*/1, /*seed0=*/100);
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].kind, ProtocolKind::kFdas);
   EXPECT_EQ(stats[0].r_forced_per_basic.count, 5u);
@@ -302,6 +332,8 @@ TEST(Hindsight, WasteShrinksWithPiggybackedKnowledge) {
   EXPECT_GE(fdas + 0.05, bhmr);  // small tolerance: single-removal metric
 }
 
+// The single-thread run on the calling thread and any worker count fold
+// per-seed rows in the same seed order.
 TEST(Runner, ParallelSweepIsBitIdenticalToSerial) {
   const std::vector<ProtocolKind> kinds{ProtocolKind::kFdas,
                                         ProtocolKind::kBhmr,
@@ -309,9 +341,9 @@ TEST(Runner, ParallelSweepIsBitIdenticalToSerial) {
   auto generate = [](std::uint64_t seed) {
     return small_random_trace(seed, 4, 50);
   };
-  const auto serial = sweep(generate, kinds, 8, 42);
-  for (int threads : {1, 2, 4, 16}) {
-    const auto parallel = sweep_parallel(generate, kinds, 8, threads, 42);
+  const auto serial = sweep(generate, kinds, 8, /*threads=*/1, /*seed0=*/42);
+  for (int threads : {2, 4, 16}) {
+    const auto parallel = sweep(generate, kinds, 8, threads, /*seed0=*/42);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i].kind, serial[i].kind);
@@ -326,10 +358,11 @@ TEST(Runner, ParallelSweepIsBitIdenticalToSerial) {
 }
 
 TEST(Runner, RejectsBadArguments) {
+  const auto generate = [](std::uint64_t s) { return small_random_trace(s); };
   const std::vector<ProtocolKind> kinds{ProtocolKind::kFdas};
-  EXPECT_THROW(
-      sweep([](std::uint64_t s) { return small_random_trace(s); }, kinds, 0),
-      std::invalid_argument);
+  EXPECT_THROW(sweep(generate, kinds, 0, 1), std::invalid_argument);
+  EXPECT_THROW(sweep(generate, kinds, 1, 0), std::invalid_argument);
+  EXPECT_THROW(sweep(generate, std::vector<ProtocolKind>{}, 1, 1), std::invalid_argument);
 }
 
 }  // namespace

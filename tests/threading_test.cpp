@@ -110,8 +110,8 @@ TEST(Threading, ParallelSweepMatchesSerialSweep) {
   const auto generate = [](std::uint64_t seed) {
     return small_random_trace(seed);
   };
-  const auto serial = sweep(generate, kinds, 8, 500);
-  const auto parallel = sweep_parallel(generate, kinds, 8, kThreads, 500);
+  const auto serial = sweep(generate, kinds, 8, /*threads=*/1, /*seed0=*/500);
+  const auto parallel = sweep(generate, kinds, 8, kThreads, /*seed0=*/500);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].kind, parallel[i].kind);
