@@ -273,12 +273,11 @@ inline JsonValue to_json(const Summary& s) {
 }
 
 inline JsonValue to_json(const ProtocolStats& s) {
-  // wire_bits_per_message is measured through the protocol's declared
-  // codec; flat_bits_per_message keeps the analytic flat-plane figure as
-  // the labeled comparison column (the pre-codec reports' constant).
+  // wire_bits_per_message is measured through the codec the sweep ran
+  // (`codec`); flat_bits_per_message keeps the analytic flat-plane figure
+  // as the labeled comparison column (the pre-codec reports' constant).
   return JsonObject{{"protocol", to_string(s.kind)},
-                    {"codec",
-                     to_cstring(ProtocolRegistry::instance().info(s.kind).codec)},
+                    {"codec", to_cstring(s.codec)},
                     {"r_forced_per_basic", to_json(s.r_forced_per_basic)},
                     {"forced_per_message", to_json(s.forced_per_message)},
                     {"wire_bits_per_message", to_json(s.wire_bits)},

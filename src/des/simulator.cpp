@@ -1,10 +1,7 @@
 #include "des/simulator.hpp"
 
 #include <queue>
-#include <string>
-#include <utility>
 
-#include "ccp/builder.hpp"
 #include "obs/hooks.hpp"
 #include "protocols/registry.hpp"
 #include "util/check.hpp"
@@ -21,9 +18,8 @@ struct Ev {
   EvKind kind = EvKind::kStart;
   ProcessId process = -1;
   // kDeliver:
-  ProcessId from = -1;
   AppData data = 0;
-  MsgId msg = kNoMsg;  // PatternBuilder id
+  MsgId msg = kNoMsg;  // index into the recorded trace's messages
   // kTimer:
   int timer_id = 0;
 };
@@ -59,20 +55,15 @@ class ProcessContext final : public Context {
 class Runtime {
  public:
   Runtime(int num_processes, const AppFactory& factory, const SimConfig& config)
-      : config_(config),
-        rng_(config.seed),
-        builder_(num_processes),
-        payloads_() {
-    builder_.set_listener(config.online);
+      : config_(config), rng_(config.seed) {
     RDT_REQUIRE(num_processes >= 1, "need at least one process");
     RDT_REQUIRE(config.horizon > 0, "horizon must be positive");
     RDT_REQUIRE(config.delay_mean > 0 && config.delay_min >= 0,
                 "invalid channel delays");
     fifo_last_.assign(static_cast<std::size_t>(num_processes),
                       std::vector<double>(static_cast<std::size_t>(num_processes), 0.0));
+    trace_.num_processes = num_processes;
     for (ProcessId i = 0; i < num_processes; ++i) {
-      protocols_.push_back(ProtocolRegistry::instance().create(
-          config.protocol, num_processes, i, config.observer));
       apps_.push_back(factory(i));
       RDT_REQUIRE(apps_.back() != nullptr, "app factory returned null");
       contexts_.emplace_back(*this, i);
@@ -92,7 +83,6 @@ class Runtime {
       const Ev ev = queue_.top();
       queue_.pop();
       now_ = ev.time;
-      end_time_ = ev.time;
       switch (ev.kind) {
         case EvKind::kStart:
           current_ = ev.process;
@@ -100,27 +90,18 @@ class Runtime {
               contexts_[static_cast<std::size_t>(ev.process)]);
           current_ = -1;
           break;
-        case EvKind::kDeliver: {
-          CicProtocol& proto = *protocols_[static_cast<std::size_t>(ev.process)];
-          const Piggyback& pb = payloads_[static_cast<std::size_t>(ev.msg)];
-          if (const ForceReason reason = proto.force_reason(pb, ev.from);
-              reason != ForceReason::kNone) {
-            proto.on_forced_checkpoint(reason);
-            forced_by_reason_[static_cast<std::size_t>(reason)] += 1;
-            builder_.checkpoint(ev.process);
-          }
-          proto.on_deliver(pb, ev.from);
-          builder_.deliver(ev.msg);
+        case EvKind::kDeliver:
+          record(TraceOpKind::kDeliver, ev.process, ev.msg);
           if (ev.time <= config_.horizon) {
             // Application activity only before the cool-down.
             current_ = ev.process;
             apps_[static_cast<std::size_t>(ev.process)]->on_message(
-                contexts_[static_cast<std::size_t>(ev.process)], ev.from,
+                contexts_[static_cast<std::size_t>(ev.process)],
+                trace_.messages[static_cast<std::size_t>(ev.msg)].sender,
                 ev.data);
             current_ = -1;
           }
           break;
-        }
         case EvKind::kTimer:
           if (ev.time <= config_.horizon) {
             ++result_timers_;
@@ -132,9 +113,7 @@ class Runtime {
           break;
         case EvKind::kBasicCkpt:
           if (ev.time <= config_.horizon) {
-            protocols_[static_cast<std::size_t>(ev.process)]
-                ->on_basic_checkpoint();
-            builder_.checkpoint(ev.process);
+            record(TraceOpKind::kBasicCkpt, ev.process);
             push({ev.time + rng_.exponential(config_.basic_ckpt_mean),
                   next_seq(), EvKind::kBasicCkpt, ev.process});
           }
@@ -142,23 +121,12 @@ class Runtime {
       }
     }
 
-    SimResult result;
-    result.pattern = builder_.build();
-    result.messages = static_cast<long long>(payloads_.size());
-    result.timers_fired = result_timers_;
-    result.end_time = end_time_;
-    result.forced_by_reason = forced_by_reason_;
-    result.saved_tdvs.resize(protocols_.size());
-    for (std::size_t i = 0; i < protocols_.size(); ++i) {
-      const CicProtocol& p = *protocols_[i];
-      result.basic += p.basic_count();
-      result.forced += p.forced_count();
-      if (p.transmits_tdv())
-        for (CkptIndex x = 0; x < p.current_interval(); ++x)
-          result.saved_tdvs[i].push_back(p.saved_tdv(x));
-    }
-    flush_metrics(result);
-    return result;
+    // The recorded run, replayed under the configured protocol: no protocol
+    // decision reaches an application or the RNG, so the replay sees
+    // exactly the events the run produced.
+    return {replay(trace_, config_.protocol,
+                   {.observer = config_.observer, .online = config_.online}),
+            result_timers_, now_};
   }
 
   // --- Context services ------------------------------------------------------
@@ -168,18 +136,8 @@ class Runtime {
   void app_send(ProcessId from, ProcessId to, AppData data) {
     RDT_REQUIRE(from == current_,
                 "send() may only be called from the running process's callback");
-    CicProtocol& proto = *protocols_[static_cast<std::size_t>(from)];
-    Piggyback pb = proto.make_payload();
-    proto.on_send(to, pb.slot());
-    const MsgId id = builder_.send(from, to);
-    RDT_ASSERT(id == static_cast<MsgId>(payloads_.size()));
-    payloads_.push_back(std::move(pb));
-    if (proto.checkpoint_after_send()) {
-      proto.on_forced_checkpoint(ForceReason::kCheckpointAfterSend);
-      forced_by_reason_[static_cast<std::size_t>(
-          ForceReason::kCheckpointAfterSend)] += 1;
-      builder_.checkpoint(from);
-    }
+    RDT_REQUIRE(to >= 0 && to < num_processes() && to != from,
+                "send() needs another process's id");
     double arrive = now_ + config_.delay_min + rng_.exponential(config_.delay_mean);
     if (config_.fifo_channels) {
       auto& last = fifo_last_[static_cast<std::size_t>(from)]
@@ -187,15 +145,17 @@ class Runtime {
       arrive = std::max(arrive, last + 1e-9);
       last = arrive;
     }
-    push({arrive, next_seq(), EvKind::kDeliver, to, from, data, id});
+    const auto id = static_cast<MsgId>(trace_.messages.size());
+    trace_.messages.push_back({from, to, now_, arrive});
+    record(TraceOpKind::kSend, from, id);
+    push({arrive, next_seq(), EvKind::kDeliver, to, data, id});
   }
 
   void app_checkpoint(ProcessId p) {
     RDT_REQUIRE(p == current_,
                 "take_checkpoint() may only be called from the running "
                 "process's callback");
-    protocols_[static_cast<std::size_t>(p)]->on_basic_checkpoint();
-    builder_.checkpoint(p);
+    record(TraceOpKind::kBasicCkpt, p);
   }
 
   void app_timer(ProcessId p, double delay, int id) {
@@ -216,42 +176,21 @@ class Runtime {
   long long next_seq() { return seq_++; }
   void push(const Ev& ev) { queue_.push(ev); }
 
-  // Observability build + active session: fold the finished run's counters
-  // into the session registry, named per protocol id and forcing predicate
-  // (the same scheme as the replay engine, under "des." instead).
-  void flush_metrics(const SimResult& result) const {
-    if constexpr (!obs::kObsEnabled) return;
-    obs::ObsSession* session = obs::ObsSession::current();
-    if (session == nullptr) return;
-    auto& m = session->metrics();
-    const std::string prefix =
-        "des." + ProtocolRegistry::instance().info(config_.protocol).id;
-    m.add(m.counter(prefix + ".runs"), 1);
-    m.add(m.counter(prefix + ".messages"), result.messages);
-    m.add(m.counter(prefix + ".timers"), result.timers_fired);
-    m.add(m.counter(prefix + ".ckpt.basic"), result.basic);
-    m.add(m.counter(prefix + ".ckpt.forced"), result.forced);
-    for (std::size_t r = 1; r < kNumForceReasons; ++r) {
-      if (forced_by_reason_[r] == 0) continue;
-      m.add(m.counter(prefix + ".forced." +
-                      to_cstring(static_cast<ForceReason>(r))),
-            forced_by_reason_[r]);
-    }
+  // Appends an op in processing order, so ties at equal times keep the
+  // order the run produced them in.
+  void record(TraceOpKind kind, ProcessId p, MsgId msg = kNoMsg) {
+    trace_.ops.push_back({kind, now_, p, msg});
   }
 
   SimConfig config_;
   Rng rng_;
   std::vector<Rng> app_rngs_;
-  PatternBuilder builder_;
-  std::vector<std::unique_ptr<CicProtocol>> protocols_;
+  Trace trace_;
   std::vector<std::unique_ptr<ProcessApp>> apps_;
   std::vector<ProcessContext> contexts_;
-  std::vector<Piggyback> payloads_;
   std::priority_queue<Ev, std::vector<Ev>, EvLater> queue_;
   std::vector<std::vector<double>> fifo_last_;
-  std::array<long long, kNumForceReasons> forced_by_reason_{};
   double now_ = 0.0;
-  double end_time_ = 0.0;
   long long seq_ = 0;
   long long result_timers_ = 0;
   ProcessId current_ = -1;  // process whose callback is running

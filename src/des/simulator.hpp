@@ -7,31 +7,27 @@
 // runtime executes one event at a time in global timestamp order, so each
 // process is sequential and every run is a valid distributed computation.
 //
-// The checkpointing protocol is interposed on every send (payload capture)
-// and delivery (forced-checkpoint decision *before* the application sees
-// the message, exactly as Figure 6's S2 prescribes). Optionally, basic
-// checkpoints also fire per process as a Poisson process — the papers'
-// simulation model — in addition to any the application takes itself.
+// The checkpointing protocol is app-invisible middleware, and none of its
+// decisions takes simulated time or draws from the RNG, so it cannot change
+// a run: the runtime records the run as a Trace, in processing order (ties
+// at equal times keep it), and returns replay() of it (sim/replay.hpp) —
+// the same per-event steps, wire codec, audits and kMaxCodecProcesses cap
+// as any replay. Optionally, basic checkpoints also fire per process as a
+// Poisson process — the papers' simulation model — in addition to any the
+// application takes itself.
 //
 // After `horizon`, the computation "cools down": messages still in the
-// channels are delivered (through the protocol, so the pattern stays a
-// complete computation) but the application callbacks are no longer
-// invoked, so no new work is generated and the run terminates.
+// channels are delivered (so the pattern stays a complete computation) but
+// the application callbacks are no longer invoked, so no new work is
+// generated and the run terminates.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
-#include <vector>
 
-#include "ccp/pattern.hpp"
 #include "des/app.hpp"
-#include "protocols/protocol.hpp"
+#include "sim/replay.hpp"
 #include "util/rng.hpp"
-
-namespace rdt {
-class PatternListener;  // ccp/builder.hpp
-}  // namespace rdt
 
 namespace rdt::des {
 
@@ -46,33 +42,19 @@ struct SimConfig {
   // (des/snapshot.hpp) requires FIFO links.
   bool fifo_channels = false;
   std::uint64_t seed = 1;
-  // Optional per-event observer installed on every protocol instance
-  // (non-owning; must outlive the run). Sees sends, deliveries and
-  // checkpoints with their forcing predicate, as in ReplayOptions.
+  // Optional per-event observer and pattern stream subscriber (non-owning;
+  // must outlive the run), passed to the run's replay as
+  // ReplayOptions::observer and ReplayOptions::online. Both see the run's
+  // events while its recorded trace is replayed, after the last event.
   ProtocolObserver* observer = nullptr;
-  // Optional pattern stream subscriber (non-owning; must outlive the run),
-  // installed on the runtime's PatternBuilder — typically an OnlineEngine
-  // (online/engine.hpp), so live queries work mid-simulation, as in
-  // ReplayOptions::online.
   PatternListener* online = nullptr;
 };
 
-struct SimResult {
-  Pattern pattern;                 // the recorded checkpoint & comm. pattern
-  long long messages = 0;
-  long long basic = 0;
-  long long forced = 0;
+// The replay of the recorded run (pattern, counters, forced_by_reason,
+// saved_tdvs, ...) plus the run's own figures.
+struct SimResult : ReplayResult {
   long long timers_fired = 0;
-  // `forced` broken down by forcing predicate (indexed by ForceReason; the
-  // kNone slot stays zero), as in ReplayResult.
-  std::array<long long, kNumForceReasons> forced_by_reason{};
-  long long forced_by(ForceReason reason) const {
-    return forced_by_reason[static_cast<std::size_t>(reason)];
-  }
-  double end_time = 0.0;           // time of the last processed event
-  // Per-checkpoint saved dependency vectors (Corollary 4.5), as in
-  // ReplayResult; empty rows for protocols that do not transmit TDVs.
-  std::vector<std::vector<Tdv>> saved_tdvs;
+  double end_time = 0.0;  // time of the last processed event
 };
 
 // Factory invoked once per process id.

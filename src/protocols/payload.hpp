@@ -11,7 +11,7 @@
 // checkpointing: no extra control messages, no synchronization.
 //
 // Two representations exist:
-//  * Piggyback — an owning value (tests, examples, the DES integration);
+//  * Piggyback — an owning value (tests, examples);
 //  * PiggybackView / PiggybackSlot — non-owning read/write views into
 //    externally managed storage. The replay engine's PayloadArena hands out
 //    slots backed by three flat per-replay planes, so the steady-state

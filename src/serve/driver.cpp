@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 
 #include "protocols/registry.hpp"
+#include "sim/protocol_driver.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -37,21 +35,23 @@ struct ClientTally {
 std::vector<PiggybackSection> build_piggyback_sections(
     std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
     std::size_t batch) {
-  const ProtocolRegistry& registry = ProtocolRegistry::instance();
-  const ProtocolInfo& info = registry.info(kind);
-  std::vector<std::unique_ptr<CicProtocol>> procs;
-  procs.reserve(static_cast<std::size_t>(num_processes));
-  for (int p = 0; p < num_processes; ++p)
-    procs.push_back(registry.create(kind, num_processes, p));
-  PiggybackCodec codec;
-  codec.reset(info.codec, num_processes, info.shape);
-  std::unordered_map<int, Piggyback> in_flight;  // msg id -> sent payload
+  // Message ids index the arena; undelivered sends keep their slot.
+  const auto num_sends = static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [](const StreamEvent& e) {
+        return e.kind == EventKind::kSend;
+      }));
+  MsgId next_send = 0;
+  const auto codec =
+      ProtocolRegistry::instance().info(kind).codec_for(num_processes);
+  PayloadArena arena;
+  ProtocolDriver driver(kind, num_processes, num_sends, codec, arena,
+                        /*observer=*/nullptr, /*save_tdv_history=*/false);
   const std::size_t num_frames = (events.size() + batch - 1) / batch;
   std::vector<PiggybackSection> sections(num_frames);
   for (std::size_t f = 0; f < num_frames; ++f) {
     PiggybackSection& section = sections[f];
     section.protocol = kind;
-    section.codec = info.codec;
+    section.codec = codec;
     section.num_processes = num_processes;
     const std::span<const StreamEvent> chunk =
         events.subspan(f * batch, std::min(batch, events.size() - f * batch));
@@ -62,38 +62,26 @@ std::vector<PiggybackSection> build_piggyback_sections(
                        (e.q >= 0 && e.q < num_processes)),
                   "piggyback generation needs stream processes inside the "
                   "pool's process count");
+      // e.p is the sender of a send or delivery, e.q its receiver.
       switch (e.kind) {
         case EventKind::kSend: {
-          // e.p is the sender, e.q the receiver.
-          CicProtocol& sender = *procs[static_cast<std::size_t>(e.p)];
-          Piggyback payload = sender.make_payload();
-          sender.on_send(e.q, payload.slot());
-          const std::size_t len =
-              codec.encode(e.p, e.q, payload.view(), section.bytes);
-          section.sizes.push_back(static_cast<std::uint32_t>(len));
-          if (sender.checkpoint_after_send())
-            sender.on_forced_checkpoint(ForceReason::kCheckpointAfterSend);
-          in_flight.insert_or_assign(e.msg, std::move(payload));
+          RDT_REQUIRE(e.msg == next_send,
+                      "piggyback generation needs the stream's sends "
+                      "numbered 0, 1, 2, ... in stream order");
+          ++next_send;
+          driver.send(e.p, e.q, e.msg);
+          const std::span<const std::uint8_t> bytes = arena.last_encoded();
+          section.bytes.insert(section.bytes.end(), bytes.begin(), bytes.end());
+          section.sizes.push_back(static_cast<std::uint32_t>(bytes.size()));
           break;
         }
-        case EventKind::kDeliver: {
-          // Streams are recorded traces, so the matching send precedes the
-          // deliver; an unmatched msg id would be a malformed stream. The
-          // acting protocol is the receiver (e.q); e.p names the sender.
-          const auto it = in_flight.find(e.msg);
-          RDT_REQUIRE(it != in_flight.end(),
+        case EventKind::kDeliver:
+          RDT_REQUIRE(e.msg >= 0 && e.msg < next_send,
                       "deliver of a message the stream never sent");
-          CicProtocol& receiver = *procs[static_cast<std::size_t>(e.q)];
-          const PiggybackView view = it->second.view();
-          if (const ForceReason reason = receiver.force_reason(view, e.p);
-              reason != ForceReason::kNone)
-            receiver.on_forced_checkpoint(reason);
-          receiver.on_deliver(view, e.p);
-          in_flight.erase(it);
+          driver.deliver(e.p, e.q, e.msg);
           break;
-        }
         case EventKind::kCheckpoint:
-          procs[static_cast<std::size_t>(e.p)]->on_basic_checkpoint();
+          driver.basic_checkpoint(e.p);
           break;
         case EventKind::kInternal:
           break;

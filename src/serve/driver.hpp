@@ -37,7 +37,8 @@ struct DriverOptions {
   int recovery_query_stride = 32;  // timed recovery_line every k frames
   bool close_sessions = true;      // close + drain at the end of the run
   // When set, every frame also carries the piggyback section this
-  // protocol's declared codec produces for the chunk's send events. The
+  // protocol's codec (build_piggyback_sections) produces for the chunk's
+  // send events. The
   // sections are generated once per run (real protocol instances replayed
   // over the stream) and shared by all sessions — each session receives
   // the identical frame sequence, so each per-session decoder walks the
@@ -64,10 +65,13 @@ struct DriverReport {
   long long piggyback_rejected = 0;
 };
 
-// Replays `events` through real protocol instances and encodes each send's
-// payload with the protocol's declared codec, chopped into one
-// PiggybackSection per `batch`-event frame. run_clients calls it once per
-// run and shares the sections read-only across its producer threads.
+// Drives `kind` over `events` through replay's per-event steps
+// (sim/protocol_driver.hpp; checkpoint events count as basic) and chops
+// each send's payload, encoded with ProtocolInfo::codec_for(num_processes),
+// into one PiggybackSection per `batch`-event frame. The stream's sends
+// must number their messages 0, 1, 2, ... as a recorded stream does.
+// run_clients calls it once per run and shares the sections read-only
+// across its producer threads.
 std::vector<PiggybackSection> build_piggyback_sections(
     std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
     std::size_t batch);

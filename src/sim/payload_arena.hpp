@@ -30,6 +30,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "protocols/codec.hpp"
@@ -61,6 +63,8 @@ class PayloadArena {
   // called exactly once per send_slot(), in trace send order (the delta
   // codec's shadows advance per channel).
   std::size_t commit_send(MsgId m, ProcessId src, ProcessId dest);
+  // The bytes the last commit_send() encoded; valid until the next one.
+  std::span<const std::uint8_t> last_encoded() const { return encode_buf_; }
 
  private:
   std::size_t check(MsgId m) const {

@@ -1,7 +1,6 @@
 #include "sim/replay.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 
 #include "ccp/audit.hpp"
@@ -9,6 +8,7 @@
 #include "core/tdv.hpp"
 #include "obs/hooks.hpp"
 #include "protocols/registry.hpp"
+#include "sim/protocol_driver.hpp"
 #include "util/check.hpp"
 
 namespace rdt {
@@ -79,8 +79,7 @@ void flush_replay_metrics(const ReplayResult& result) {
 ReplayResult replay(const Trace& trace, ProtocolKind kind,
                     const ReplayOptions& options) {
   RDT_REQUIRE(trace.num_processes >= 1, "empty trace");
-  const ProtocolRegistry& registry = ProtocolRegistry::instance();
-  const ProtocolInfo& info = registry.info(kind);
+  const ProtocolInfo& info = ProtocolRegistry::instance().info(kind);
   RDT_TRACE_SPAN("replay", "replay", "protocol", info.id.c_str());
 
   // Audit builds always materialize: the postconditions cross-check the
@@ -90,30 +89,17 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
                            options.online != nullptr;
   const auto num_messages = static_cast<std::size_t>(trace.num_messages());
 
-  // All processes run the same protocol, so every message carries the same
-  // payload shape. Sizing the arena first rejects a process count the codec
-  // does not accept before any protocol instance is built.
+  // Sizing the arena first rejects a process count the codec does not
+  // accept before any protocol instance is built.
   PayloadArena local_arena;
-  PayloadArena& arena = options.arena ? *options.arena : local_arena;
-  arena.reset(trace.num_processes, info.shape, num_messages,
-              options.wire_codec.value_or(info.codec_for(trace.num_processes)));
-
-  std::vector<std::unique_ptr<CicProtocol>> procs;
-  procs.reserve(static_cast<std::size_t>(trace.num_processes));
-  for (ProcessId i = 0; i < trace.num_processes; ++i) {
-    procs.push_back(
-        registry.create(kind, trace.num_processes, i, options.observer));
-    if (!materialize) procs.back()->set_save_tdv_history(false);
-  }
-  // The flat size is a per-replay constant; measured wire bits vary per
-  // message.
-  const unsigned long long flat_bits_per_message =
-      procs.front()->flat_piggyback_bits();
+  ProtocolDriver driver(
+      kind, trace.num_processes, num_messages,
+      options.wire_codec.value_or(info.codec_for(trace.num_processes)),
+      options.arena ? *options.arena : local_arena, options.observer,
+      /*save_tdv_history=*/materialize);
 
   PatternBuilder builder(trace.num_processes);  // cheap when unused
   builder.set_listener(options.online);
-  std::vector<MsgId> msg_map;
-  if (materialize) msg_map.assign(num_messages, kNoMsg);
 
   ReplayResult result;
   result.kind = kind;
@@ -122,57 +108,45 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
   if (materialize) result.forced_ckpts.reserve(num_messages);
 
   for (const TraceOp& op : trace.ops) {
-    CicProtocol& self = *procs[static_cast<std::size_t>(op.process)];
+    const ProcessId p = op.process;
     switch (op.kind) {
       case TraceOpKind::kSend: {
         const TraceMessage& m = trace.messages[static_cast<std::size_t>(op.msg)];
-        RDT_ASSERT(m.sender == op.process);
-        self.on_send(m.receiver, arena.send_slot(op.msg));
-        result.flat_bits_total += flat_bits_per_message;
-        result.wire_bits_total +=
-            arena.commit_send(op.msg, m.sender, m.receiver);
-        if (materialize)
-          msg_map[static_cast<std::size_t>(op.msg)] =
-              builder.send(m.sender, m.receiver);
-        if (self.checkpoint_after_send()) {
-          self.on_forced_checkpoint(ForceReason::kCheckpointAfterSend);
-          result.forced_by_reason[static_cast<std::size_t>(
-              ForceReason::kCheckpointAfterSend)] += 1;
-          if (materialize)
-            result.forced_ckpts.push_back(
-                {op.process, builder.checkpoint(op.process)});
-        }
+        RDT_ASSERT(m.sender == p);
+        const bool forced = driver.send(p, m.receiver, op.msg);
+        if (!materialize) break;
+        const MsgId id = builder.send(p, m.receiver);
+        RDT_REQUIRE(id == op.msg, "a Trace numbers its messages in send order");
+        if (forced) result.forced_ckpts.push_back({p, builder.checkpoint(p)});
         break;
       }
       case TraceOpKind::kDeliver: {
         const TraceMessage& m = trace.messages[static_cast<std::size_t>(op.msg)];
-        RDT_ASSERT(m.receiver == op.process);
-        const PiggybackView payload = arena.view(op.msg);
-        if (const ForceReason reason = self.force_reason(payload, m.sender);
-            reason != ForceReason::kNone) {
-          self.on_forced_checkpoint(reason);
-          result.forced_by_reason[static_cast<std::size_t>(reason)] += 1;
-          if (materialize)
-            result.forced_ckpts.push_back(
-                {op.process, builder.checkpoint(op.process)});
-        }
-        self.on_deliver(payload, m.sender);
-        if (materialize) builder.deliver(msg_map[static_cast<std::size_t>(op.msg)]);
+        RDT_ASSERT(m.receiver == p);
+        const bool forced = driver.deliver(m.sender, p, op.msg);
+        if (!materialize) break;
+        if (forced) result.forced_ckpts.push_back({p, builder.checkpoint(p)});
+        builder.deliver(op.msg);
         break;
       }
       case TraceOpKind::kBasicCkpt:
-        self.on_basic_checkpoint();
-        if (materialize) builder.checkpoint(op.process);
+        driver.basic_checkpoint(p);
+        if (materialize) builder.checkpoint(p);
         break;
     }
   }
 
+  // The flat size is a per-replay constant, and every trace message is sent.
+  result.flat_bits_total = driver.protocol(0).flat_piggyback_bits() *
+                           static_cast<unsigned long long>(num_messages);
+  result.wire_bits_total = driver.wire_bits_total();
+  result.forced_by_reason = driver.forced_by_reason();
   if (materialize) {
     result.pattern = builder.build();
     result.saved_tdvs.resize(static_cast<std::size_t>(trace.num_processes));
   }
   for (ProcessId i = 0; i < trace.num_processes; ++i) {
-    const CicProtocol& p = *procs[static_cast<std::size_t>(i)];
+    const CicProtocol& p = driver.protocol(i);
     result.basic += p.basic_count();
     result.forced += p.forced_count();
     if (materialize && p.transmits_tdv()) {

@@ -4,9 +4,11 @@
 // process exactly as the paper's Figure 6 prescribes — payload capture at
 // send, forced-checkpoint decision *before* each delivery, control-state
 // merge after — and materializes the resulting checkpoint-and-communication
-// pattern for offline analysis. Because the trace fixes the application
-// behaviour, replaying different protocols over the same trace yields
-// directly comparable forced-checkpoint counts.
+// pattern for offline analysis. The per-event steps are ProtocolDriver's
+// (sim/protocol_driver.hpp), shared with serve's section builder; the DES
+// returns a replay of its recorded run. Because the trace fixes the
+// application behaviour, replaying different protocols over the same trace
+// yields directly comparable forced-checkpoint counts.
 //
 // Every send travels through a PiggybackCodec: the sender's payload is
 // encoded, decoded back into the PayloadArena, and the delivery reads the

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/hooks.hpp"
+#include "protocols/registry.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -22,6 +23,7 @@ struct SeedMetrics {
   long long messages = 0;
   long long basic = 0;
   long long forced = 0;
+  int num_processes = 0;
 };
 
 // Sweeps only need the overhead counters, so they take the counters-only
@@ -34,7 +36,7 @@ SeedMetrics measure(const Trace& trace, ProtocolKind kind,
   const ReplayResult res = replay_metrics(trace, kind, &arena);
   return {res.forced_per_basic(), res.forced_per_message(),
           res.wire_bits_per_message(), res.flat_bits_per_message(),
-          res.messages, res.basic, res.forced};
+          res.messages, res.basic, res.forced, trace.num_processes};
 }
 
 // Folds the per-seed metric matrix (seed-major) into aggregate statistics;
@@ -50,6 +52,8 @@ std::vector<ProtocolStats> fold(std::span<const ProtocolKind> kinds,
   for (const auto& row : m) {
     RDT_ASSERT(row.size() == kinds.size());
     for (std::size_t i = 0; i < kinds.size(); ++i) {
+      RDT_REQUIRE(row[i].num_processes == m.front()[i].num_processes,
+                  "a sweep's traces must share one process count");
       r[i].add(row[i].r);
       fpm[i].add(row[i].fpm);
       wire[i].add(row[i].wire_bits);
@@ -64,6 +68,8 @@ std::vector<ProtocolStats> fold(std::span<const ProtocolKind> kinds,
     out[i].forced_per_message = fpm[i].summary();
     out[i].wire_bits = wire[i].summary();
     out[i].flat_bits = flat[i].summary();
+    out[i].codec = ProtocolRegistry::instance().info(kinds[i]).codec_for(
+        m.front()[i].num_processes);
   }
   return out;
 }

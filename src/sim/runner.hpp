@@ -19,6 +19,9 @@ struct ProtocolStats {
   Summary forced_per_message;
   Summary wire_bits;              // measured encoded bits per message
   Summary flat_bits;              // analytic flat-plane bits per message
+  // The wire codec the replays ran: ProtocolInfo::codec_for(n) at the
+  // sweep's process count.
+  PiggybackCodecKind codec = PiggybackCodecKind::kFlat;
   long long total_messages = 0;   // across seeds
   long long total_basic = 0;
   long long total_forced = 0;
@@ -42,7 +45,7 @@ struct ProtocolStats {
 // started; otherwise the generator must be callable concurrently — the
 // built-in environments are, since each call owns its Rng. Throws
 // std::invalid_argument unless num_seeds >= 1, threads >= 1 and `kinds` is
-// non-empty.
+// non-empty, and when the seeds' traces differ in process count.
 std::vector<ProtocolStats> sweep(
     const std::function<Trace(std::uint64_t seed)>& generate,
     std::span<const ProtocolKind> kinds, int num_seeds, int threads,

@@ -38,8 +38,8 @@ struct TraceMessage {
 
 struct Trace {
   int num_processes = 0;
-  std::vector<TraceOp> ops;           // globally ordered by (time, tiebreak)
-  std::vector<TraceMessage> messages;
+  std::vector<TraceOp> ops;            // globally ordered by (time, tiebreak)
+  std::vector<TraceMessage> messages;  // messages[m] is the m-th send in ops
 
   int num_messages() const { return static_cast<int>(messages.size()); }
   long long basic_ckpts() const;

@@ -357,6 +357,25 @@ TEST(Runner, ParallelSweepIsBitIdenticalToSerial) {
   }
 }
 
+TEST(Runner, SweepReportsTheCodecItRan) {
+  // BHMR declares the delta codec, which stops at kMaxDeltaProcesses; the
+  // sweep's row names the codec its replays actually used.
+  const std::vector<ProtocolKind> kinds{ProtocolKind::kBhmr};
+  const auto at = [&](int n) {
+    return sweep([n](std::uint64_t s) { return small_random_trace(s, n, 4); },
+                 kinds, 2, /*threads=*/1)
+        .front()
+        .codec;
+  };
+  EXPECT_EQ(at(8), PiggybackCodecKind::kDelta);
+  EXPECT_EQ(at(65), PiggybackCodecKind::kSparse);
+  // One row, one codec: seeds whose traces differ in size are rejected.
+  const auto mixed = [](std::uint64_t s) {
+    return small_random_trace(s, s == 1 ? 8 : 65, 4);
+  };
+  EXPECT_THROW(sweep(mixed, kinds, 2, /*threads=*/1), std::invalid_argument);
+}
+
 TEST(Runner, RejectsBadArguments) {
   const auto generate = [](std::uint64_t s) { return small_random_trace(s); };
   const std::vector<ProtocolKind> kinds{ProtocolKind::kFdas};

@@ -103,8 +103,9 @@ void rule_bare_mutex(const FileInput& file, std::string_view stripped,
 // the ObsSession accessors), which compile to nothing when RDT_OBS is off.
 // Naming MetricsRegistry/TraceLog, or including their headers, in a hot TU
 // reintroduces an unconditional dependency the hooks layer exists to hide.
-constexpr std::array<std::string_view, 4> kHotPathTUs = {
+constexpr std::array<std::string_view, 5> kHotPathTUs = {
     "sim/replay.cpp",
+    "sim/protocol_driver.hpp",
     "sim/runner.cpp",
     "des/simulator.cpp",
     "online/engine.cpp",
