@@ -10,8 +10,8 @@
 
 #include "bench_common.hpp"
 #include "des/apps.hpp"
-#include "protocols/registry.hpp"
 #include "des/snapshot.hpp"
+#include "sim/protocol_driver.hpp"
 
 namespace {
 
@@ -66,11 +66,8 @@ int main(int argc, char** argv) {
           des::gossip_app(std::make_shared<des::GossipStats>(), 0.8, 0.4, 0.0),
           cic);
       cuts.add(static_cast<double>(run.basic + run.forced));
-      piggy_bytes = static_cast<double>(
-                        ProtocolRegistry::instance()
-                        .info(ProtocolKind::kBhmr)
-                        .piggyback_bits(n)) /
-                    8.0;
+      piggy_bytes =
+          static_cast<double>(piggyback_bits(ProtocolKind::kBhmr, n)) / 8.0;
     }
     report.add_metrics(
         "coordinated_vs_cic",

@@ -14,7 +14,8 @@
 //    analysis, R-graph closure, the definitional check and the fused
 //    junction-family pass, each on prebuilt analyses;
 //  * recovery-line computation (fixpoint vs R-graph propagation), and the
-//    online engine's recovery query at serve_live's per-session spacing;
+//    online engine's recovery and zreach queries at serve_live's
+//    per-session spacing;
 //  * the online engine's feed path on the serving stream (per event, with
 //    the automatic compaction amortised in) and one compaction pass after a
 //    full cadence;
@@ -318,6 +319,44 @@ void BM_OnlineRecoveryQuery(benchmark::State& state, double lost_share) {
   state.counters["events"] = static_cast<double>(ops.size());
 }
 
+// One zreach() per 15 64-event batches on the same bounded n = 8 engine
+// and lossless stream as BM_OnlineRecoveryQuery, from the oldest retained
+// checkpoint of one process to the last durable checkpoint of the next,
+// the sources cycling over the processes. Only the query is timed; it
+// covers the reader's catch-up with the edges published since the last
+// query. hits counts the queries that found a Z-path.
+void BM_OnlineZreach(benchmark::State& state) {
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kBatchesPerQuery = 15;
+  const std::vector<StreamEvent> ops = serve_stream(0.0);
+  const std::span<const StreamEvent> all(ops);
+  const EngineOptions options{8, RetentionPolicy::bounded(65536)};
+  OnlineEngine engine(options);
+  std::size_t at = 0;
+  ProcessId src = 0;
+  long long hits = 0;
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < kBatchesPerQuery; ++b) {
+      if (at + kBatch > all.size()) {
+        engine.reset(options);
+        at = 0;
+      }
+      engine.feed(all.subspan(at, kBatch));
+      at += kBatch;
+    }
+    src = (src + 1) % options.num_processes;
+    const ProcessId dst = (src + 1) % options.num_processes;
+    const CkptId from{src, engine.first_retained(src)};
+    const CkptId to{dst, engine.current_interval(dst) - 1};
+    const auto t0 = std::chrono::steady_clock::now();
+    const ZreachResult r = engine.zreach(from, to);
+    const auto t1 = std::chrono::steady_clock::now();
+    hits += r.value ? 1 : 0;
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.counters["hits"] = static_cast<double>(hits);
+}
+
 // The serving engine's configuration: n = 8 under bounded(65536).
 constexpr long long kServeCadence = 65536;
 
@@ -479,6 +518,7 @@ BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossless, 0.0)
     ->UseManualTime()->Iterations(3000);
 BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossy, 0.001)
     ->UseManualTime()->Iterations(3000);
+BENCHMARK(BM_OnlineZreach)->UseManualTime()->Iterations(3000);
 BENCHMARK(BM_OnlineFeed);
 // Fixed like the recovery query: each timed pass feeds a cadence untimed.
 BENCHMARK(BM_OnlineCompact)->UseManualTime()->Iterations(200);

@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "protocols/registry.hpp"
+#include "sim/protocol_driver.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdt;
@@ -34,9 +35,9 @@ int main(int argc, char** argv) {
       table.add(
           registry.info(kind)
               .flat_piggyback_bits(n));  // rdt-lint: allow(flat-piggyback)
-      table.add(registry.info(kind).piggyback_bits(n));
+      table.add(piggyback_bits(kind, n));
     }
-    const auto bhmr = registry.info(ProtocolKind::kBhmr).piggyback_bits(n);
+    const auto bhmr = piggyback_bits(ProtocolKind::kBhmr, n);
     table.add(static_cast<long long>(bhmr / 8));
     JsonObject row{{"num_processes", n}};
     for (ProtocolKind kind :
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(
               info.flat_piggyback_bits(n)));  // rdt-lint: allow(flat-piggyback)
       row.emplace_back(info.id + "_wire", static_cast<unsigned long long>(
-                                              info.piggyback_bits(n)));
+                                              piggyback_bits(kind, n)));
     }
     rows.push_back(std::move(row));
   }

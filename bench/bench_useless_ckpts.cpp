@@ -13,10 +13,10 @@
 
 #include "bench_common.hpp"
 #include "core/rdt_checker.hpp"
-#include "protocols/registry.hpp"
 #include "recovery/gc.hpp"
 #include "rgraph/zigzag.hpp"
 #include "sim/environments.hpp"
+#include "sim/protocol_driver.hpp"
 #include "sim/replay.hpp"
 
 namespace {
@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
         "useless_ckpts",
         JsonObject{{"protocol", to_string(kind)},
                    {"wire_bits",
-                    static_cast<unsigned long long>(
-                        ProtocolRegistry::instance().info(kind).piggyback_bits(6))},
+                    static_cast<unsigned long long>(piggyback_bits(kind, 6))},
                    {"useless_pct", to_json(useless_frac.summary())},
                    {"rdt_runs", static_cast<long long>(rdt_runs)},
                    {"seeds", static_cast<long long>(seeds)},
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
                    {"r_mean", r_metric.summary().mean}});
     table.begin_row()
         .add(to_string(kind))
-        .add(ProtocolRegistry::instance().info(kind).piggyback_bits(6))
+        .add(piggyback_bits(kind, 6))
         .add(pm(useless_frac.summary(), 1))
         .add(std::to_string(rdt_runs) + "/" + std::to_string(seeds))
         .add(pm(gc_frac.summary(), 1))

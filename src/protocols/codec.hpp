@@ -1,4 +1,4 @@
-// Piggyback wire codecs: how a protocol's control data actually travels.
+// Wire codecs for piggybacked control data: how it actually travels.
 //
 // A CicProtocol fills flat payload planes (PiggybackSlot) and reads them
 // back (PiggybackView); those planes are the *semantic* contract and never

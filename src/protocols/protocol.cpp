@@ -83,17 +83,6 @@ CicProtocol::CicProtocol(int num_processes, ProcessId self, bool transmits_tdv)
   tdv_[static_cast<std::size_t>(self_)] = 1;
 }
 
-Piggyback CicProtocol::make_payload() const {
-  Piggyback out;
-  const PayloadShape shape = payload_shape();
-  const auto n = static_cast<std::size_t>(n_);
-  if (shape.tdv) out.tdv.assign(n, 0);
-  if (shape.simple) out.simple = BitVector(n);
-  if (shape.causal) out.causal = BitMatrix(n, n);
-  if (shape.index) out.index = 0;  // present; kNoIndex marks absence
-  return out;
-}
-
 void CicProtocol::on_send(ProcessId dest, const PiggybackSlot& out) {
   RDT_REQUIRE(dest >= 0 && dest < n_ && dest != self_, "bad destination");
   sent_to_.set(static_cast<std::size_t>(dest));
@@ -151,12 +140,6 @@ GlobalCkpt CicProtocol::min_global_ckpt(CkptIndex x) const {
   g.indices = saved_tdv(x);
   g.indices[static_cast<std::size_t>(self_)] = x;
   return g;
-}
-
-std::size_t CicProtocol::flat_piggyback_bits() const {
-  // flat_bits depends only on the payload shape, which is constant per
-  // kind; a zero payload of the right shape measures exactly one message.
-  return make_payload().flat_bits();
 }
 
 void audit_tdv_merge(const Tdv& before, std::span<const CkptIndex> piggyback,

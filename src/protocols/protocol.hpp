@@ -1,10 +1,10 @@
 // The communication-induced checkpointing (CIC) protocol interface.
 //
 // One CicProtocol instance embodies one process P_i of the computation. The
-// runtime (src/sim/replay.*) drives it through the three statements of the
-// paper's Figure 6:
+// runtime (sim/protocol_driver.hpp) drives it through the three statements
+// of the paper's Figure 6:
 //   (S1) on_send(dest, slot)      -> writes the piggyback to attach to the
-//        message into a slot pre-sized via make_payload()/payload_shape();
+//        message into a slot pre-sized for payload_shape();
 //   (S2) must_force(msg, sender)  -> take a forced checkpoint before
 //        delivery? then on_deliver(msg, sender) updates control state;
 //   plus on_basic_checkpoint() when the application decides to checkpoint.
@@ -64,12 +64,8 @@ class CicProtocol {
   ProcessId self() const { return self_; }
 
   // Which payload fields this protocol transmits (constant per kind). The
-  // replay engine uses it to carve arena slots; make_payload() to size
-  // owning payloads.
+  // replay engine uses it to carve arena slots.
   virtual PayloadShape payload_shape() const { return {.tdv = transmits_tdv()}; }
-
-  // An all-zero owning payload sized for payload_shape().
-  Piggyback make_payload() const;
 
   // (S1), canonical zero-allocation form — called at each application send;
   // writes the control data into a slot pre-sized for payload_shape() and
@@ -77,11 +73,11 @@ class CicProtocol {
   void on_send(ProcessId dest, const PiggybackSlot& out);
 
   // (S2), decision half — must P_i take a forced checkpoint before
-  // delivering this message? Reads only piggybacked + local state. An
-  // owning Piggyback converts implicitly. Implemented on top of
-  // force_reason(), which additionally names the predicate that fired —
-  // the locally observable evidence the paper's visibility results are
-  // about, and what the observability layer reports per message.
+  // delivering this message? Reads only piggybacked + local state.
+  // Implemented on top of force_reason(), which additionally names the
+  // predicate that fired — the locally observable evidence the paper's
+  // visibility results are about, and what the observability layer
+  // reports per message.
   bool must_force(const PiggybackView& msg, ProcessId sender) const {
     return force_reason(msg, sender) != ForceReason::kNone;
   }
@@ -139,11 +135,6 @@ class CicProtocol {
 
   long long basic_count() const { return basic_; }
   long long forced_count() const { return forced_; }
-
-  // Flat (un-encoded) control bits this protocol adds to each message —
-  // the analytic comparison figure. Actual bits on the wire depend on the
-  // PiggybackCodec and are measured per message by the replay engine.
-  std::size_t flat_piggyback_bits() const;
 
  protected:
   // For the kinds that piggyback no TDV (the baselines whose predicates

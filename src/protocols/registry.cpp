@@ -1,8 +1,6 @@
 #include "protocols/registry.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -136,28 +134,6 @@ PiggybackCodecKind ProtocolInfo::codec_for(int num_processes) const {
   const bool past_delta_cap =
       codec == PiggybackCodecKind::kDelta && num_processes > kMaxDeltaProcesses;
   return past_delta_cap ? PiggybackCodecKind::kSparse : codec;
-}
-
-std::size_t ProtocolInfo::piggyback_bits(int num_processes) const {
-  // Measured: the declared codec's encoding of the protocol's first
-  // message, P_0 -> P_1 on fresh state. With one process no channel
-  // exists and nothing is ever piggybacked.
-  if (num_processes < 2) return 0;
-  const auto proto =
-      ProtocolRegistry::instance().create(kind, num_processes, /*self=*/0);
-  Piggyback payload = proto->make_payload();
-  proto->on_send(/*dest=*/1, payload.slot());
-  PiggybackCodec wire(codec_for(num_processes), num_processes, proto->payload_shape());
-  std::vector<std::uint8_t> bytes;
-  return wire.encode(/*src=*/0, /*dest=*/1, payload.view(), bytes) * 8;
-}
-
-std::size_t ProtocolInfo::flat_piggyback_bits(int num_processes) const {
-  // Shapes are constant per kind, so a throwaway instance of P_0 measures
-  // exactly one message.
-  return ProtocolRegistry::instance()
-      .create(kind, num_processes, /*self=*/0)
-      ->flat_piggyback_bits();
 }
 
 ProtocolRegistry::ProtocolRegistry() {

@@ -42,18 +42,16 @@ struct ProtocolInfo {
   // The codec an n-process computation actually uses: `codec`, except that
   // a declared delta codec past kMaxDeltaProcesses falls back to sparse —
   // the only compact codec without that cap. Replay's default, the sweeps
-  // and piggyback_bits() all resolve the declared codec here.
+  // and piggyback_bits() (sim/protocol_driver.hpp) all resolve the declared
+  // codec here.
   PiggybackCodecKind codec_for(int num_processes) const;
 
-  // *Measured* control bits one message carries for an n-process
-  // computation: the declared codec's encoding of the protocol's first
-  // message (P0 -> P1 on fresh state). Per-replay means come from
-  // ReplayResult::wire_bits_total; with fewer than two processes no
-  // message can exist and this is 0.
-  std::size_t piggyback_bits(int num_processes) const;
   // The analytic flat-plane figure (TDV entries as 32-bit integers, one
-  // bit per plane cell) kept as the labeled comparison column.
-  std::size_t flat_piggyback_bits(int num_processes) const;
+  // bit per plane cell) kept as the labeled comparison column. The measured
+  // figure is piggyback_bits() in sim/protocol_driver.hpp.
+  std::size_t flat_piggyback_bits(int num_processes) const {
+    return shape.flat_bits(num_processes);
+  }
 };
 
 class ProtocolRegistry {

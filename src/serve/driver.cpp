@@ -35,12 +35,14 @@ struct ClientTally {
 std::vector<PiggybackSection> build_piggyback_sections(
     std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
     std::size_t batch) {
-  // Message ids index the arena; undelivered sends keep their slot.
+  // Message ids index the arena; undelivered sends keep their slot, and one
+  // delivered bit per send rejects a second delivery.
   const auto num_sends = static_cast<std::size_t>(
       std::count_if(events.begin(), events.end(), [](const StreamEvent& e) {
         return e.kind == EventKind::kSend;
       }));
   MsgId next_send = 0;
+  std::vector<bool> delivered(num_sends, false);
   const auto codec =
       ProtocolRegistry::instance().info(kind).codec_for(num_processes);
   PayloadArena arena;
@@ -78,6 +80,9 @@ std::vector<PiggybackSection> build_piggyback_sections(
         case EventKind::kDeliver:
           RDT_REQUIRE(e.msg >= 0 && e.msg < next_send,
                       "deliver of a message the stream never sent");
+          RDT_REQUIRE(!delivered[static_cast<std::size_t>(e.msg)],
+                      "second delivery of one message");
+          delivered[static_cast<std::size_t>(e.msg)] = true;
           driver.deliver(e.p, e.q, e.msg);
           break;
         case EventKind::kCheckpoint:

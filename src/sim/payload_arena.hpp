@@ -2,7 +2,7 @@
 //
 // Within one replay every message carries the same PayloadShape (all
 // processes run the same ProtocolKind), so instead of one heap-allocated
-// Piggyback per message the replay engine carves three flat planes:
+// payload per message the replay engine carves three flat planes:
 //  * a TDV plane    — n CkptIndex entries per message, contiguous;
 //  * a simple plane — one word-aligned n-bit row per message;
 //  * a causal plane — one block-strided n x n bit matrix per message

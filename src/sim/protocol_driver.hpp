@@ -4,9 +4,10 @@
 // is captured and carried through the PayloadArena's wire codec; at a
 // delivery the receiver decides on a forced checkpoint *before* merging the
 // decoded payload. replay() drives it from trace ops (and through replay,
-// the DES), serve::build_piggyback_sections from StreamEvents, so forced
-// decisions, per-predicate counters and wire bytes cannot drift between
-// them. The steps are inline: they are replay's hot loop body.
+// the DES), serve::build_piggyback_sections from StreamEvents, the protocol
+// tests by hand and piggyback_bits() for one message, so forced decisions,
+// per-predicate counters and wire bytes cannot drift between them. The
+// steps are inline: they are replay's hot loop body.
 #pragma once
 
 #include <array>
@@ -86,5 +87,21 @@ class ProtocolDriver {
   unsigned long long wire_bits_total_ = 0;
   std::array<long long, kNumForceReasons> forced_by_reason_{};
 };
+
+// *Measured* control bits one message carries for an n-process computation:
+// the codec_for(n) encoding of the protocol's first message (P_0 -> P_1 on
+// fresh state), sent through a one-message driver. Per-replay means come
+// from ReplayResult::wire_bits_total; with fewer than two processes no
+// message can exist and this is 0.
+inline std::size_t piggyback_bits(ProtocolKind kind, int num_processes) {
+  if (num_processes < 2) return 0;
+  PayloadArena arena;
+  ProtocolDriver driver(
+      kind, num_processes, /*num_messages=*/1,
+      ProtocolRegistry::instance().info(kind).codec_for(num_processes), arena,
+      /*observer=*/nullptr, /*save_tdv_history=*/false);
+  driver.send(/*from=*/0, /*to=*/1, /*m=*/0);
+  return driver.wire_bits_total();
+}
 
 }  // namespace rdt

@@ -137,7 +137,7 @@ ReplayResult replay(const Trace& trace, ProtocolKind kind,
   }
 
   // The flat size is a per-replay constant, and every trace message is sent.
-  result.flat_bits_total = driver.protocol(0).flat_piggyback_bits() *
+  result.flat_bits_total = info.shape.flat_bits(trace.num_processes) *
                            static_cast<unsigned long long>(num_messages);
   result.wire_bits_total = driver.wire_bits_total();
   result.forced_by_reason = driver.forced_by_reason();

@@ -11,6 +11,7 @@
 #include "protocols/registry.hpp"
 #include "sim/environments.hpp"
 #include "sim/replay.hpp"
+#include "protocol_net.hpp"
 
 namespace rdt {
 namespace {
@@ -31,11 +32,8 @@ TEST(AdaptiveProtocol_, RegistryMetadata) {
   const auto p = ProtocolRegistry::instance().create(ProtocolKind::kAdaptive,
                                                      4, 2);
   EXPECT_EQ(p->kind(), ProtocolKind::kAdaptive);
-  const Piggyback pb = p->make_payload();
-  EXPECT_EQ(pb.tdv.size(), 4u);
-  EXPECT_EQ(pb.simple.size(), 4u);
-  EXPECT_EQ(pb.causal.rows(), 4u);
-  EXPECT_EQ(pb.index, Piggyback::kNoIndex);
+  EXPECT_TRUE(p->payload_shape() == info.shape);
+  EXPECT_TRUE(info.shape == (PayloadShape{.tdv = true, .simple = true, .causal = true}));
 }
 
 // With n = 2 the causal diagonal alone already makes the matrix "dense"
@@ -47,19 +45,20 @@ TEST(AdaptiveProtocol_, SwitchesOnTrafficShapeDeterministically) {
   EXPECT_EQ(a.mode(), Mode::kRich);
 
   // 63 sends + 1 delivery close a's window decisively send-heavy.
-  Piggyback out = a.make_payload();
-  for (int i = 0; i < 63; ++i) a.on_send(1, out.slot());
-  Piggyback in = b.make_payload();
-  b.on_send(0, in.slot());
-  a.on_deliver(in, 1);
+  PayloadArena slots = test::payload_slots(2, a.payload_shape(), 2);
+  const PiggybackSlot out = slots.slot(0);
+  const PiggybackSlot in = slots.slot(1);
+  for (int i = 0; i < 63; ++i) a.on_send(1, out);
+  b.on_send(0, in);
+  a.on_deliver(slots.view(1), 1);
   EXPECT_EQ(a.mode(), Mode::kLean);
   EXPECT_EQ(a.switches_to_lean(), 1);
   EXPECT_EQ(a.switches_to_rich(), 0);
 
   // A delivery-only window flips it back to rich.
   for (int i = 0; i < AdaptiveProtocol::kWindow; ++i) {
-    b.on_send(0, in.slot());
-    a.on_deliver(in, 1);
+    b.on_send(0, in);
+    a.on_deliver(slots.view(1), 1);
   }
   EXPECT_EQ(a.mode(), Mode::kRich);
   EXPECT_EQ(a.switches_to_rich(), 1);
@@ -68,14 +67,12 @@ TEST(AdaptiveProtocol_, SwitchesOnTrafficShapeDeterministically) {
   // identical replay on fresh instances lands in the same state.
   AdaptiveProtocol a2(2, 0);
   AdaptiveProtocol b2(2, 1);
-  Piggyback out2 = a2.make_payload();
-  Piggyback in2 = b2.make_payload();
-  for (int i = 0; i < 63; ++i) a2.on_send(1, out2.slot());
-  b2.on_send(0, in2.slot());
-  a2.on_deliver(in2, 1);
+  for (int i = 0; i < 63; ++i) a2.on_send(1, out);
+  b2.on_send(0, in);
+  a2.on_deliver(slots.view(1), 1);
   for (int i = 0; i < AdaptiveProtocol::kWindow; ++i) {
-    b2.on_send(0, in2.slot());
-    a2.on_deliver(in2, 1);
+    b2.on_send(0, in);
+    a2.on_deliver(slots.view(1), 1);
   }
   EXPECT_EQ(a2.mode(), a.mode());
   EXPECT_EQ(a2.switches_to_lean(), a.switches_to_lean());
@@ -88,28 +85,27 @@ TEST(AdaptiveProtocol_, SwitchesOnTrafficShapeDeterministically) {
 TEST(AdaptiveProtocol_, LeanModeZeroesPlanesAndForcesLikeFdas) {
   AdaptiveProtocol a(2, 0);
   AdaptiveProtocol b(2, 1);
-  Piggyback out = a.make_payload();
-  for (int i = 0; i < 63; ++i) a.on_send(1, out.slot());
-  Piggyback in = b.make_payload();
-  b.on_send(0, in.slot());
-  a.on_deliver(in, 1);
+  PayloadArena slots = test::payload_slots(2, a.payload_shape(), 3);
+  for (int i = 0; i < 63; ++i) a.on_send(1, slots.slot(0));
+  b.on_send(0, slots.slot(1));
+  a.on_deliver(slots.view(1), 1);
   ASSERT_EQ(a.mode(), Mode::kLean);
 
   // Internal state still tracks knowledge (diagonal + merged sender row)...
   EXPECT_TRUE(a.causal_state().get(0, 0));
   EXPECT_TRUE(a.simple_state().get(0));
   // ...but the wire planes deny all of it.
-  a.on_send(1, out.slot());
+  a.on_send(1, slots.slot(0));
+  const PiggybackView out = slots.view(0);
   EXPECT_EQ(out.simple.count(), 0u);
   for (std::size_t r = 0; r < out.causal.rows(); ++r)
     EXPECT_EQ(out.causal.row(r).count(), 0u);
 
   // Lean forcing: a payload whose TDV is ahead forces as a new dependency
   // (a has sent in this interval), exactly FDAS's predicate.
-  Piggyback ahead = b.make_payload();
-  b.on_send(0, ahead.slot());
-  ahead.tdv[1] = 1000;
-  EXPECT_EQ(a.force_reason(ahead, 1), ForceReason::kNewDependency);
+  b.on_send(0, slots.slot(2));
+  slots.slot(2).tdv[1] = 1000;
+  EXPECT_EQ(a.force_reason(slots.view(2), 1), ForceReason::kNewDependency);
 }
 
 // The meta-protocol's contract: whatever modes the run visits, the

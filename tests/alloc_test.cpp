@@ -4,7 +4,7 @@
 // messages, checkpoints and events but not a single extra allocation. This
 // pins the arena contract ("no per-message heap allocation in steady
 // state") as a test rather than a comment: any accidental per-message
-// vector, Piggyback or node allocation shows up as a count difference.
+// vector, payload or node allocation shows up as a count difference.
 //
 // The same holds for ServePool's ingest handoff: once its buffers are warm,
 // a pass of submits and the worker's apply loop allocate nothing per frame.

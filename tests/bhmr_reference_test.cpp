@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "protocols/bhmr.hpp"
+#include "protocol_net.hpp"
 
 namespace rdt {
 namespace {
@@ -122,7 +123,7 @@ class ReferenceBhmr {
 struct InFlight {
   ProcessId src = 0;
   ProcessId dest = 0;
-  Piggyback payload;
+  MsgId id = 0;  // the payload's arena slot
 };
 
 const char* variant_name(Variant v) {
@@ -159,6 +160,10 @@ std::vector<int> drive(Variant variant, int n, int events, std::uint64_t seed) {
     procs.back()->set_save_tdv_history(false);
     refs.emplace_back(n, i, variant);
   }
+  // Every event stores at most one payload, each in a fresh slot.
+  PayloadArena payloads = test::payload_slots(
+      n, procs[0]->payload_shape(), static_cast<std::size_t>(events));
+  MsgId next_id = 0;
   std::mt19937_64 rng(seed);
   auto pick = [&](std::size_t bound) {
     return static_cast<std::size_t>(rng() % bound);
@@ -172,10 +177,10 @@ std::vector<int> drive(Variant variant, int n, int events, std::uint64_t seed) {
       const auto src = static_cast<ProcessId>(pick(un));
       auto dest = static_cast<ProcessId>(pick(un - 1));
       if (dest >= src) ++dest;
-      InFlight m{src, dest, procs[static_cast<std::size_t>(src)]->make_payload()};
-      procs[static_cast<std::size_t>(src)]->on_send(dest, m.payload.slot());
+      const InFlight m{src, dest, next_id++};
+      procs[static_cast<std::size_t>(src)]->on_send(dest, payloads.slot(m.id));
       refs[static_cast<std::size_t>(src)].on_send(static_cast<std::size_t>(dest));
-      in_flight.push_back(std::move(m));
+      in_flight.push_back(m);
       expect_same_state(*procs[static_cast<std::size_t>(src)],
                         refs[static_cast<std::size_t>(src)], where);
     } else if (n >= 2 && roll < 8 && (!in_flight.empty() || roll == 7)) {
@@ -184,25 +189,26 @@ std::vector<int> drive(Variant variant, int n, int events, std::uint64_t seed) {
         m.dest = static_cast<ProcessId>(pick(un));
         m.src = static_cast<ProcessId>(pick(un - 1));
         if (m.src >= m.dest) ++m.src;
-        m.payload = procs[static_cast<std::size_t>(m.dest)]->make_payload();
+        m.id = next_id++;
+        const PiggybackSlot synthetic = payloads.slot(m.id);
         const Tdv& local = procs[static_cast<std::size_t>(m.dest)]->tdv();
         for (std::size_t k = 0; k < un; ++k)
-          m.payload.tdv[k] = std::max<CkptIndex>(
+          synthetic.tdv[k] = std::max<CkptIndex>(
               0, local[k] + static_cast<CkptIndex>(pick(3)) - 1);
-        if (!m.payload.simple.empty())
-          for (std::size_t k = 0; k < un; ++k) m.payload.simple.set(k, pick(2) != 0);
+        if (!synthetic.simple.empty())
+          for (std::size_t k = 0; k < un; ++k) synthetic.simple.set(k, pick(2) != 0);
         for (std::size_t r = 0; r < un; ++r)
           for (std::size_t c = 0; c < un; ++c)
-            m.payload.causal.set(r, c, pick(3) != 0);
+            synthetic.causal.set(r, c, pick(3) != 0);
       } else {
         const std::size_t i = pick(in_flight.size());
-        m = std::move(in_flight[i]);
-        in_flight[i] = std::move(in_flight.back());
+        m = in_flight[i];
+        in_flight[i] = in_flight.back();
         in_flight.pop_back();
       }
       BhmrProtocol& p = *procs[static_cast<std::size_t>(m.dest)];
       ReferenceBhmr& ref = refs[static_cast<std::size_t>(m.dest)];
-      const PiggybackView view = m.payload.view();
+      const PiggybackView view = payloads.view(m.id);
       const ForceReason reason = p.force_reason(view, m.src);
       EXPECT_EQ(reason, ref.force_reason(view)) << where;
       ++fired[static_cast<std::size_t>(reason)];

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,45 +16,13 @@
 #include "sim/payload_arena.hpp"
 #include "sim/replay.hpp"
 #include "sim/runner.hpp"
+#include "stream_fixtures.hpp"
 
 namespace rdt {
 namespace {
 
-struct Env {
-  std::string name;
-  std::function<Trace(std::uint64_t)> generate;
-};
-
-std::vector<Env> small_environments() {
-  std::vector<Env> envs;
-  envs.push_back({"random", [](std::uint64_t seed) {
-                    RandomEnvConfig cfg;
-                    cfg.num_processes = 6;
-                    cfg.duration = 80.0;
-                    cfg.basic_ckpt_mean = 8.0;
-                    cfg.seed = seed;
-                    return random_environment(cfg);
-                  }});
-  envs.push_back({"group", [](std::uint64_t seed) {
-                    GroupEnvConfig cfg;
-                    cfg.num_groups = 3;
-                    cfg.group_size = 3;
-                    cfg.overlap = 1;
-                    cfg.duration = 80.0;
-                    cfg.basic_ckpt_mean = 8.0;
-                    cfg.seed = seed;
-                    return group_environment(cfg);
-                  }});
-  envs.push_back({"client_server", [](std::uint64_t seed) {
-                    ClientServerEnvConfig cfg;
-                    cfg.num_servers = 5;
-                    cfg.num_requests = 60;
-                    cfg.basic_ckpt_mean = 8.0;
-                    cfg.seed = seed;
-                    return client_server_environment(cfg);
-                  }});
-  return envs;
-}
+using test::Env;
+using test::small_environments;
 
 // Every protocol x every codec x every environment family: the counters a
 // sweep aggregates must match the flat reference codec's.

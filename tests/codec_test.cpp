@@ -5,6 +5,7 @@
 // caller's offset AND the channel shadows untouched).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -13,59 +14,43 @@
 
 #include "protocols/codec.hpp"
 #include "protocols/payload.hpp"
+#include "protocol_net.hpp"
 #include "util/check.hpp"
 
 namespace rdt {
 namespace {
 
-Piggyback make_payload(int n, PayloadShape shape) {
-  const auto un = static_cast<std::size_t>(n);
-  Piggyback pb;
-  if (shape.tdv) pb.tdv.assign(un, 0);
-  if (shape.simple) pb.simple = BitVector(un);
-  if (shape.causal) pb.causal = BitMatrix(un, un);
-  if (shape.index) pb.index = 0;
-  return pb;
-}
-
 constexpr PayloadShape kFullShape{.tdv = true, .simple = true, .causal = true,
                                   .index = true};
 
-// Piggyback::slot() always exposes the scalar-index pointer (the owning
-// struct cannot know the intended shape); codecs validate slots against
-// their declared shape, so mask the index off when the shape omits it.
-PiggybackSlot shaped_slot(Piggyback& pb, PayloadShape shape) {
-  PiggybackSlot s = pb.slot();
-  if (!shape.index) s.index = nullptr;
-  return s;
+// Zeroed payload slots for one test: slot 0 is what it sends, slot 1 what
+// it decodes into.
+PayloadArena slots(int n, PayloadShape shape = kFullShape) {
+  return test::payload_slots(n, shape, 2);
 }
 
 // A representative non-trivial payload: staggered TDV, a couple of simple
 // bits, an asymmetric causal matrix, a scalar index.
-Piggyback sample_payload(int n) {
-  Piggyback pb = make_payload(n, kFullShape);
+PiggybackView sample_payload(PayloadArena& arena, int n) {
+  const PiggybackSlot pb = arena.slot(0);
   for (int k = 0; k < n; ++k) pb.tdv[static_cast<std::size_t>(k)] = 3 * k + 1;
   pb.simple.set(0);
   pb.simple.set(static_cast<std::size_t>(n) - 1);
   for (int r = 0; r < n; ++r) pb.causal.set(static_cast<std::size_t>(r), 0);
   pb.causal.set(1, static_cast<std::size_t>(n) - 1);
-  pb.index = 41;
-  return pb;
+  *pb.index = 41;
+  return arena.view(0);
 }
 
-bool payloads_equal(const Piggyback& a, const Piggyback& b, int n) {
-  if (a.tdv != b.tdv || a.index != b.index) return false;
-  for (int i = 0; i < n; ++i)
-    if (a.simple.get(static_cast<std::size_t>(i)) !=
-        b.simple.get(static_cast<std::size_t>(i)))
-      return false;
-  for (int r = 0; r < n; ++r)
-    for (int c = 0; c < n; ++c)
-      if (a.causal.get(static_cast<std::size_t>(r),
-                       static_cast<std::size_t>(c)) !=
-          b.causal.get(static_cast<std::size_t>(r),
-                       static_cast<std::size_t>(c)))
-        return false;
+bool payloads_equal(const PiggybackView& a, const PiggybackView& b) {
+  if (!std::ranges::equal(a.tdv, b.tdv) || a.index != b.index ||
+      a.simple.size() != b.simple.size() || a.causal.rows() != b.causal.rows())
+    return false;
+  for (std::size_t i = 0; i < a.simple.size(); ++i)
+    if (a.simple.get(i) != b.simple.get(i)) return false;
+  for (std::size_t r = 0; r < a.causal.rows(); ++r)
+    for (std::size_t c = 0; c < a.causal.cols(); ++c)
+      if (a.causal.get(r, c) != b.causal.get(r, c)) return false;
   return true;
 }
 
@@ -75,42 +60,39 @@ class PiggybackCodecRoundtrip
 TEST_P(PiggybackCodecRoundtrip, FullShapeRoundtrips) {
   const int n = 5;
   PiggybackCodec codec(GetParam(), n, kFullShape);
-  const Piggyback sent = sample_payload(n);
+  PayloadArena arena = slots(n);
+  const PiggybackView sent = sample_payload(arena, n);
   std::vector<std::uint8_t> wire;
-  const std::size_t len = codec.encode(0, 1, sent.view(), wire);
+  const std::size_t len = codec.encode(0, 1, sent, wire);
   EXPECT_EQ(len, wire.size());
   EXPECT_LE(len, codec.max_encoded_bytes());
 
-  Piggyback received = make_payload(n, kFullShape);
   std::size_t offset = 0;
-  codec.decode(0, 1, wire, offset, received.slot());
+  codec.decode(0, 1, wire, offset, arena.slot(1));
   EXPECT_EQ(offset, wire.size());
-  EXPECT_TRUE(payloads_equal(sent, received, n));
+  EXPECT_TRUE(payloads_equal(sent, arena.view(1)));
 }
 
 TEST_P(PiggybackCodecRoundtrip, SingleProcessRoundtrips) {
   PiggybackCodec codec(GetParam(), 1, kFullShape);
-  Piggyback pb = make_payload(1, kFullShape);
-  pb.tdv[0] = 7;
-  pb.index = 7;
+  PayloadArena arena = slots(1);
+  arena.slot(0).tdv[0] = 7;
+  *arena.slot(0).index = 7;
   std::vector<std::uint8_t> wire;
-  codec.encode(0, 0, pb.view(), wire);
-  Piggyback back = make_payload(1, kFullShape);
+  codec.encode(0, 0, arena.view(0), wire);
   std::size_t offset = 0;
-  codec.decode(0, 0, wire, offset, back.slot());
+  codec.decode(0, 0, wire, offset, arena.slot(1));
   EXPECT_EQ(offset, wire.size());
-  EXPECT_TRUE(payloads_equal(pb, back, 1));
+  EXPECT_TRUE(payloads_equal(arena.view(0), arena.view(1)));
 }
 
 TEST_P(PiggybackCodecRoundtrip, EmptyShapeEncodesNothing) {
   PiggybackCodec codec(GetParam(), 4, PayloadShape{});
-  const Piggyback pb;  // no planes
   std::vector<std::uint8_t> wire;
-  EXPECT_EQ(codec.encode(2, 3, pb.view(), wire), 0u);
+  EXPECT_EQ(codec.encode(2, 3, PiggybackView{}, wire), 0u);  // no planes
   EXPECT_TRUE(wire.empty());
-  Piggyback back;
   std::size_t offset = 0;
-  codec.decode(2, 3, wire, offset, shaped_slot(back, PayloadShape{}));
+  codec.decode(2, 3, wire, offset, PiggybackSlot{});
   EXPECT_EQ(offset, 0u);
 }
 
@@ -119,21 +101,21 @@ TEST_P(PiggybackCodecRoundtrip, EmptyShapeEncodesNothing) {
 TEST_P(PiggybackCodecRoundtrip, DensePayloadRoundtrips) {
   const int n = 9;  // crosses a byte boundary in the bit planes
   PiggybackCodec codec(GetParam(), n, kFullShape);
-  Piggyback pb = make_payload(n, kFullShape);
+  PayloadArena arena = slots(n);
+  const PiggybackSlot pb = arena.slot(0);
   for (int k = 0; k < n; ++k)
     pb.tdv[static_cast<std::size_t>(k)] = kMaxPiggybackIndex - 1;
   for (int i = 0; i < n; ++i) pb.simple.set(static_cast<std::size_t>(i));
   for (int r = 0; r < n; ++r)
     for (int c = 0; c < n; ++c)
       pb.causal.set(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
-  pb.index = kMaxPiggybackIndex - 1;
+  *pb.index = kMaxPiggybackIndex - 1;
   std::vector<std::uint8_t> wire;
-  codec.encode(0, 1, pb.view(), wire);
-  Piggyback back = make_payload(n, kFullShape);
+  codec.encode(0, 1, arena.view(0), wire);
   std::size_t offset = 0;
-  codec.decode(0, 1, wire, offset, back.slot());
+  codec.decode(0, 1, wire, offset, arena.slot(1));
   EXPECT_EQ(offset, wire.size());
-  EXPECT_TRUE(payloads_equal(pb, back, n));
+  EXPECT_TRUE(payloads_equal(arena.view(0), arena.view(1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PiggybackCodecRoundtrip,
@@ -178,11 +160,11 @@ TEST(PiggybackCodecReset, ValidatesGeometry) {
 
 TEST(PiggybackCodecReset, SlotShapeMismatchIsContractViolation) {
   PiggybackCodec codec(PiggybackCodecKind::kFlat, 4, kFullShape);
-  Piggyback wrong = make_payload(3, kFullShape);  // planes sized for n=3
+  PayloadArena wrong = slots(3);  // planes sized for n=3
   std::vector<std::uint8_t> wire;
-  EXPECT_THROW(codec.encode(0, 1, wrong.view(), wire), contract_violation);
+  EXPECT_THROW(codec.encode(0, 1, wrong.view(0), wire), contract_violation);
   std::size_t offset = 0;
-  EXPECT_THROW(codec.decode(0, 1, wire, offset, wrong.slot()),
+  EXPECT_THROW(codec.decode(0, 1, wire, offset, wrong.slot(0)),
                contract_violation);
 }
 
@@ -191,8 +173,9 @@ TEST(PiggybackCodecReset, SlotShapeMismatchIsContractViolation) {
 TEST(PiggybackCodecFlat, ByteLayoutIsExact) {
   const int n = 5;
   PiggybackCodec codec(PiggybackCodecKind::kFlat, n, kFullShape);
+  PayloadArena arena = slots(n);
   std::vector<std::uint8_t> wire;
-  const std::size_t len = codec.encode(0, 1, sample_payload(n).view(), wire);
+  const std::size_t len = codec.encode(0, 1, sample_payload(arena, n), wire);
   EXPECT_EQ(len, 5u * 4u + 1u + 5u * 1u + 4u);
   // tdv[0] = 1, little-endian.
   EXPECT_EQ(wire[0], 1u);
@@ -205,21 +188,21 @@ TEST(PiggybackCodecFlat, ByteLayoutIsExact) {
 TEST(PiggybackCodecDelta, UnchangedPayloadCollapses) {
   const int n = 6;
   PiggybackCodec codec(PiggybackCodecKind::kDelta, n, kFullShape);
-  const Piggyback pb = sample_payload(n);
+  PayloadArena arena = slots(n);
+  const PiggybackView pb = sample_payload(arena, n);
   std::vector<std::uint8_t> first;
   std::vector<std::uint8_t> second;
-  codec.encode(2, 4, pb.view(), first);
-  const std::size_t len = codec.encode(2, 4, pb.view(), second);
+  codec.encode(2, 4, pb, first);
+  const std::size_t len = codec.encode(2, 4, pb, second);
   EXPECT_EQ(len, 4u);  // tdv count 0, no flips, no rows, index delta 0
   EXPECT_LT(second.size(), first.size());
 
-  Piggyback back = make_payload(n, kFullShape);
   std::size_t offset = 0;
-  codec.decode(2, 4, first, offset, back.slot());
+  codec.decode(2, 4, first, offset, arena.slot(1));
   offset = 0;
-  codec.decode(2, 4, second, offset, back.slot());
+  codec.decode(2, 4, second, offset, arena.slot(1));
   EXPECT_EQ(offset, second.size());
-  EXPECT_TRUE(payloads_equal(pb, back, n));
+  EXPECT_TRUE(payloads_equal(pb, arena.view(1)));
 }
 
 // Channels are independent: the same payload on a fresh channel re-encodes
@@ -227,40 +210,41 @@ TEST(PiggybackCodecDelta, UnchangedPayloadCollapses) {
 TEST(PiggybackCodecDelta, ChannelsShadowIndependently) {
   const int n = 4;
   PiggybackCodec codec(PiggybackCodecKind::kDelta, n, kFullShape);
-  const Piggyback pb = sample_payload(n);
+  PayloadArena arena = slots(n);
+  const PiggybackView pb = sample_payload(arena, n);
   std::vector<std::uint8_t> ch01;
   std::vector<std::uint8_t> ch23;
-  codec.encode(0, 1, pb.view(), ch01);
-  codec.encode(2, 3, pb.view(), ch23);
+  codec.encode(0, 1, pb, ch01);
+  codec.encode(2, 3, pb, ch23);
   EXPECT_EQ(ch01.size(), ch23.size());  // both channels started from zero
 
-  Piggyback back = make_payload(n, kFullShape);
   std::size_t offset = 0;
-  codec.decode(2, 3, ch23, offset, back.slot());
-  EXPECT_TRUE(payloads_equal(pb, back, n));
+  codec.decode(2, 3, ch23, offset, arena.slot(1));
+  EXPECT_TRUE(payloads_equal(pb, arena.view(1)));
   offset = 0;
-  codec.decode(0, 1, ch01, offset, back.slot());
-  EXPECT_TRUE(payloads_equal(pb, back, n));
+  codec.decode(0, 1, ch01, offset, arena.slot(1));
+  EXPECT_TRUE(payloads_equal(pb, arena.view(1)));
 }
 
 TEST(PiggybackCodecDelta, NonMonotoneTdvIsEncoderContractViolation) {
   const int n = 3;
   PiggybackCodec codec(PiggybackCodecKind::kDelta, n, kFullShape);
-  Piggyback pb = sample_payload(n);
+  PayloadArena arena = slots(n);
+  const PiggybackView pb = sample_payload(arena, n);
   std::vector<std::uint8_t> wire;
-  codec.encode(0, 1, pb.view(), wire);
-  pb.tdv[1] -= 1;  // TDV entries never move backwards per channel
-  EXPECT_THROW(codec.encode(0, 1, pb.view(), wire), contract_violation);
+  codec.encode(0, 1, pb, wire);
+  arena.slot(0).tdv[1] -= 1;  // TDV entries never move backwards per channel
+  EXPECT_THROW(codec.encode(0, 1, pb, wire), contract_violation);
 }
 
 // --- the rejection contract: invalid_argument, offset untouched ---------
 
 void expect_rejected(PiggybackCodec& codec, std::vector<std::uint8_t> wire,
                      int n, const char* note) {
-  Piggyback slot = make_payload(n, codec.shape());
+  PayloadArena arena = slots(n, codec.shape());
   std::size_t offset = 0;
   try {
-    codec.decode(0, 1, wire, offset, shaped_slot(slot, codec.shape()));
+    codec.decode(0, 1, wire, offset, arena.slot(0));
     FAIL() << note << ": malformed payload decoded";
   } catch (const std::invalid_argument&) {
     EXPECT_EQ(offset, 0u) << note << ": offset moved on throw";
@@ -270,8 +254,9 @@ void expect_rejected(PiggybackCodec& codec, std::vector<std::uint8_t> wire,
 TEST(PiggybackCodecReject, FlatMalformations) {
   const int n = 5;
   PiggybackCodec codec(PiggybackCodecKind::kFlat, n, kFullShape);
+  PayloadArena arena = slots(n);
   std::vector<std::uint8_t> good;
-  codec.encode(0, 1, sample_payload(n).view(), good);
+  codec.encode(0, 1, sample_payload(arena, n), good);
 
   // Truncation at every byte boundary.
   for (std::size_t cut = 0; cut < good.size(); ++cut) {
@@ -360,11 +345,11 @@ TEST(PiggybackCodecReject, OverlongVarints) {
   {
     PiggybackCodec codec(PiggybackCodecKind::kSparse, 4, tdv_only);
     // The canonical 4-byte payload 01 02 03 04 decodes fine...
-    Piggyback slot = make_payload(4, tdv_only);
+    PayloadArena arena = slots(4, tdv_only);
     std::size_t offset = 0;
     const std::vector<std::uint8_t> canonical = {0x01, 0x02, 0x03, 0x04};
-    codec.decode(0, 1, canonical, offset, shaped_slot(slot, tdv_only));
-    EXPECT_EQ(slot.tdv, (Tdv{1, 2, 3, 4}));
+    codec.decode(0, 1, canonical, offset, arena.slot(0));
+    EXPECT_TRUE(std::ranges::equal(arena.view(0).tdv, Tdv{1, 2, 3, 4}));
     // ...and its 5-byte spelling with tdv[0] as `81 00` does not.
     expect_rejected(codec, {0x81, 0x00, 0x02, 0x03, 0x04}, 4,
                     "sparse overlong tdv entry");
@@ -400,11 +385,11 @@ TEST(PiggybackCodecReject, OverlongVarints) {
 // The error names the byte that ends the overlong encoding.
 TEST(PiggybackCodecReject, OverlongVarintErrorNamesTheByte) {
   PiggybackCodec codec(PiggybackCodecKind::kSparse, 4, PayloadShape{.tdv = true});
-  Piggyback slot = make_payload(4, codec.shape());
+  PayloadArena arena = slots(4, codec.shape());
   std::size_t offset = 0;
   const std::vector<std::uint8_t> wire = {0x01, 0x82, 0x00, 0x03, 0x04};
   try {
-    codec.decode(0, 1, wire, offset, shaped_slot(slot, codec.shape()));
+    codec.decode(0, 1, wire, offset, arena.slot(0));
     FAIL() << "overlong varint decoded";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()).rfind("piggyback: byte 2: ", 0), 0u)
@@ -420,24 +405,25 @@ TEST(PiggybackCodecReject, DeltaShadowsSurviveRejection) {
   const int n = 4;
   const PayloadShape tdv_only{.tdv = true};
   PiggybackCodec codec(PiggybackCodecKind::kDelta, n, tdv_only);
-  Piggyback pb = make_payload(n, tdv_only);
-  pb.tdv = {1, 0, 0, 0};
+  PayloadArena arena = slots(n, tdv_only);
+  const PiggybackView sent = arena.view(0);
+  const PiggybackView back = arena.view(1);
+  arena.slot(0).tdv[0] = 1;
   std::vector<std::uint8_t> first;
-  codec.encode(0, 1, pb.view(), first);
-  Piggyback slot = make_payload(n, tdv_only);
+  codec.encode(0, 1, sent, first);
   std::size_t offset = 0;
-  codec.decode(0, 1, first, offset, shaped_slot(slot, tdv_only));
-  ASSERT_EQ(slot.tdv, pb.tdv);
+  codec.decode(0, 1, first, offset, arena.slot(1));
+  ASSERT_TRUE(std::ranges::equal(back.tdv, sent.tdv));
 
   // Malformed payload on the same channel: rejected, shadow intact...
   expect_rejected(codec, {1, 0, 0}, n, "zero delta after good payload");
   // ...so the next genuine increment (entry 0: 1 -> 3) still decodes.
-  pb.tdv = {3, 0, 0, 0};
+  arena.slot(0).tdv[0] = 3;
   std::vector<std::uint8_t> second;
-  codec.encode(0, 1, pb.view(), second);
+  codec.encode(0, 1, sent, second);
   offset = 0;
-  codec.decode(0, 1, second, offset, shaped_slot(slot, tdv_only));
-  EXPECT_EQ(slot.tdv, pb.tdv);
+  codec.decode(0, 1, second, offset, arena.slot(1));
+  EXPECT_TRUE(std::ranges::equal(back.tdv, Tdv{3, 0, 0, 0}));
 }
 
 // --- golden wire bytes ----------------------------------------------------
@@ -463,12 +449,12 @@ constexpr GoldenChannel kGoldenChannels[] = {
     {0, 1}, {2, 1}, {0, 1}, {1, 0}, {0, 1}};
 constexpr int kGoldenMessages = 5;
 
-// Message m of the golden sequence. TDV entries and the index only grow
-// with m, so every channel sees them grow monotonically (the delta codec's
-// contract); bit planes change in both directions.
-Piggyback golden_payload(int n, PayloadShape shape, int m) {
+// Message m of the golden sequence, written into a zeroed slot. TDV entries
+// and the index only grow with m, so every channel sees them grow
+// monotonically (the delta codec's contract); bit planes change in both
+// directions.
+void golden_payload(const PiggybackSlot& pb, int n, PayloadShape shape, int m) {
   const auto un = static_cast<std::size_t>(n);
-  Piggyback pb = make_payload(n, shape);
   if (shape.tdv) {
     pb.tdv[0] = m + 1;
     pb.tdv[1] = 1 + 200 * m;
@@ -489,8 +475,7 @@ Piggyback golden_payload(int n, PayloadShape shape, int m) {
     pb.causal.set(un / 2, 64 % un);
     if (m >= 3) pb.causal.set(63 % un, 64 % un);
   }
-  if (shape.index) pb.index = 3 * m + (m == 4 ? 300 : 0);
-  return pb;
+  if (shape.index) *pb.index = 3 * m + (m == 4 ? 300 : 0);
 }
 
 std::string golden_hex(const std::vector<std::uint8_t>& bytes) {
@@ -717,20 +702,20 @@ TEST(PiggybackCodecGolden, EncodersReproduceRecordedBytes) {
     SCOPED_TRACE(c.name);
     PiggybackCodec enc(c.codec, c.n, c.shape);
     PiggybackCodec dec(c.codec, c.n, c.shape);
+    // Message m is written to slot 2m and decoded into slot 2m + 1.
+    PayloadArena arena = test::payload_slots(c.n, c.shape, 2 * kGoldenMessages);
     std::string hex;
-    for (int m = 0; m < kGoldenMessages; ++m) {
+    for (MsgId m = 0; m < kGoldenMessages; ++m) {
       const GoldenChannel ch = kGoldenChannels[m];
-      const Piggyback sent = golden_payload(c.n, c.shape, m);
+      golden_payload(arena.slot(2 * m), c.n, c.shape, m);
       std::vector<std::uint8_t> wire;
-      enc.encode(ch.src, ch.dest, sent.view(), wire);
+      enc.encode(ch.src, ch.dest, arena.view(2 * m), wire);
       if (m > 0) hex += " / ";
       hex += golden_hex(wire);
-      Piggyback back = make_payload(c.n, c.shape);
       std::size_t offset = 0;
-      dec.decode(ch.src, ch.dest, wire, offset, shaped_slot(back, c.shape));
+      dec.decode(ch.src, ch.dest, wire, offset, arena.slot(2 * m + 1));
       EXPECT_EQ(offset, wire.size());
-      EXPECT_TRUE(sent.tdv == back.tdv && sent.simple == back.simple &&
-                  sent.causal == back.causal && sent.index == back.index)
+      EXPECT_TRUE(payloads_equal(arena.view(2 * m), arena.view(2 * m + 1)))
           << "message " << m << " decoded to different planes";
     }
     EXPECT_EQ(hex, c.hex);
@@ -741,12 +726,13 @@ TEST(PiggybackCodecGolden, EncodersReproduceRecordedBytes) {
 // flat layout, and all three roundtrip the same planes.
 TEST(PiggybackCodecSizes, CleverCodecsBeatFlatOnSparseData) {
   const int n = 8;
-  const Piggyback pb = sample_payload(n);
+  PayloadArena arena = slots(n);
+  const PiggybackView pb = sample_payload(arena, n);
   std::size_t sizes[kNumPiggybackCodecKinds] = {};
   for (int c = 0; c < kNumPiggybackCodecKinds; ++c) {
     PiggybackCodec codec(static_cast<PiggybackCodecKind>(c), n, kFullShape);
     std::vector<std::uint8_t> wire;
-    sizes[c] = codec.encode(0, 1, pb.view(), wire);
+    sizes[c] = codec.encode(0, 1, pb, wire);
   }
   const auto flat = static_cast<std::size_t>(
       sizes[static_cast<int>(PiggybackCodecKind::kFlat)]);

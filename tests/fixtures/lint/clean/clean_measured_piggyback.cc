@@ -4,7 +4,7 @@
 #include <cstddef>
 
 std::size_t headline_bits_per_message(int n) {
-  return registry.info(kind).piggyback_bits(n);
+  return piggyback_bits(kind, n);
 }
 
 std::size_t comparison_column(int n) {

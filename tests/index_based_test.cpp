@@ -9,44 +9,35 @@
 #include "protocols/registry.hpp"
 #include "sim/environments.hpp"
 #include "sim/replay.hpp"
+#include "protocol_net.hpp"
 
 namespace rdt {
 namespace {
 
 TEST(Bcs, TimestampRules) {
-  const ProtocolRegistry& registry = ProtocolRegistry::instance();
-  const auto pa = registry.create(ProtocolKind::kBcs, 2, 0);
-  const auto pb_owner = registry.create(ProtocolKind::kBcs, 2, 1);
-  auto& a = dynamic_cast<BcsProtocol&>(*pa);
-  auto& b = dynamic_cast<BcsProtocol&>(*pb_owner);
+  test::Net net(ProtocolKind::kBcs, 3);
+  const auto& a = dynamic_cast<const BcsProtocol&>(net.at(0));
+  const auto& b = dynamic_cast<const BcsProtocol&>(net.at(1));
+  const auto& c = dynamic_cast<const BcsProtocol&>(net.at(2));
   EXPECT_EQ(a.timestamp(), 0);
   // Basic checkpoints advance the scalar clock.
-  a.on_basic_checkpoint();
-  a.on_basic_checkpoint();
+  net.checkpoint(0);
+  net.checkpoint(0);
   EXPECT_EQ(a.timestamp(), 2);
   // A message carries the sender's timestamp.
-  Piggyback pb = a.make_payload();
-  a.on_send(1, pb.slot());
-  EXPECT_EQ(pb.index, 2);
-  EXPECT_EQ(pb.flat_bits(), 32u);
-  EXPECT_TRUE(pb.tdv.empty());
+  const MsgId m = net.send(0, 1);
+  EXPECT_EQ(net.view(m).index, 2);
+  EXPECT_TRUE(net.view(m).tdv.empty());
   // A larger timestamp forces; the receiver adopts it. The fired predicate
   // is the index comparison, named for the observability layer.
-  EXPECT_EQ(b.force_reason(pb, 0), ForceReason::kIndexAhead);
-  b.on_forced_checkpoint(ForceReason::kIndexAhead);
-  b.on_deliver(pb, 0);
+  EXPECT_EQ(b.force_reason(net.view(m), 0), ForceReason::kIndexAhead);
+  EXPECT_TRUE(net.deliver(m, 0, 1));
   EXPECT_EQ(b.timestamp(), 2);
   EXPECT_EQ(b.forced_count(), 1);
   // Equal or smaller timestamps do not force.
-  Piggyback pb2 = b.make_payload();
-  b.on_send(0, pb2.slot());
-  const auto pc = registry.create(ProtocolKind::kBcs, 2, 0);
-  auto& c = dynamic_cast<BcsProtocol&>(*pc);
-  c.on_basic_checkpoint();
-  c.on_basic_checkpoint();
-  c.on_basic_checkpoint();
-  EXPECT_EQ(c.force_reason(pb2, 1), ForceReason::kNone);
-  c.on_deliver(pb2, 1);
+  for (int k = 0; k < 3; ++k) net.checkpoint(2);
+  const MsgId m2 = net.send(1, 2);
+  EXPECT_FALSE(net.deliver(m2, 1, 2));
   EXPECT_EQ(c.timestamp(), 3);  // not lowered
 }
 
@@ -55,7 +46,7 @@ TEST(Bcs, FactoryAndName) {
   EXPECT_EQ(p->kind(), ProtocolKind::kBcs);
   EXPECT_EQ(to_string(ProtocolKind::kBcs), "bcs");
   EXPECT_FALSE(p->transmits_tdv());
-  EXPECT_EQ(p->flat_piggyback_bits(), 32u);
+  EXPECT_EQ(p->payload_shape().flat_bits(3), 32u);
 }
 
 TEST(Bcs, PreventsUselessCheckpointsEverywhere) {

@@ -47,8 +47,6 @@ constexpr BadCase kBadCases[] = {
     {"bad_obs_registry_call.cc", "obs-hot-path"},
     {"bad_bitspan_untrimmed.cc", "bitspan-trim"},
     {"bad_bitspan_raw_or.cc", "bitspan-trim"},
-    {"bad_owning_piggyback_fill.cc", "owning-piggyback"},
-    {"bad_owning_piggyback_merge.cc", "owning-piggyback"},
     {"bad_bool_zreach.cc", "bool-zreach"},
     {"bad_flat_piggyback.cc", "flat-piggyback"},
 };
@@ -160,14 +158,13 @@ TEST(LintRules, SiblingHeaderClassifiesMembers) {
 TEST(LintRules, RuleTableIsStable) {
   // The ids are API: CI grep lines, suppression comments and the docs all
   // reference them by name.
-  ASSERT_EQ(rules().size(), 7u);
+  ASSERT_EQ(rules().size(), 6u);
   EXPECT_EQ(rules()[0].id, "ticket-atomics");
   EXPECT_EQ(rules()[1].id, "bare-mutex");
   EXPECT_EQ(rules()[2].id, "obs-hot-path");
   EXPECT_EQ(rules()[3].id, "bitspan-trim");
-  EXPECT_EQ(rules()[4].id, "owning-piggyback");
-  EXPECT_EQ(rules()[5].id, "bool-zreach");
-  EXPECT_EQ(rules()[6].id, "flat-piggyback");
+  EXPECT_EQ(rules()[4].id, "bool-zreach");
+  EXPECT_EQ(rules()[5].id, "flat-piggyback");
 }
 
 }  // namespace

@@ -288,6 +288,101 @@ TEST(OnlineEquivalence, JunctionAgainstFrozenTarget) {
   check_all_prefixes(3, ops);
 }
 
+// zreach as an all-pairs table over hand-built shapes: want[u][v] says
+// whether a Z-path leads from checkpoint u to checkpoint v (rows and
+// columns in node order, process-major), and both the engine and the batch
+// closure's msg_reach must reproduce the table exactly.
+void expect_zreach_table(int num_processes, const std::vector<StreamEvent>& ops,
+                         const std::vector<std::vector<int>>& want) {
+  OnlineEngine engine(EngineOptions{num_processes});
+  engine.feed(ops);
+  const Pattern pat =
+      closed_prefix(num_processes, ops, ops.size(), deliver_positions(ops));
+  const RdtAnalyses analyses(pat);
+  ASSERT_EQ(static_cast<std::size_t>(pat.total_ckpts()), want.size());
+  for (int u = 0; u < pat.total_ckpts(); ++u)
+    for (int v = 0; v < pat.total_ckpts(); ++v) {
+      const bool expected = want[static_cast<std::size_t>(u)]
+                                [static_cast<std::size_t>(v)] != 0;
+      EXPECT_EQ(analyses.closure().msg_reach(u, v), expected)
+          << pat.node_ckpt(u) << " -> " << pat.node_ckpt(v);
+      EXPECT_EQ(engine.zreach(pat.node_ckpt(u), pat.node_ckpt(v)),
+                ZreachResult::make(expected))
+          << pat.node_ckpt(u) << " -> " << pat.node_ckpt(v);
+    }
+}
+
+using SE = StreamEvent;
+
+// P0 fans out to P1 and P2, both forward to P3: two routes into C_{3,1},
+// none between the middle processes.
+TEST(OnlineZreachTable, Diamond) {
+  const std::vector<StreamEvent> ops = {
+      SE::send(0, 0, 1),    SE::send(1, 0, 2),    SE::checkpoint(0, 1),
+      SE::deliver(0, 0, 1), SE::send(2, 1, 3),    SE::checkpoint(1, 1),
+      SE::deliver(1, 0, 2), SE::send(3, 2, 3),    SE::checkpoint(2, 1),
+      SE::deliver(2, 1, 3), SE::deliver(3, 2, 3), SE::checkpoint(3, 1)};
+  // clang-format off
+  expect_zreach_table(4, ops, {
+      //         C00 C01 C10 C11 C20 C21 C30 C31
+      /* C00 */ {0,  0,  0,  1,  0,  1,  0,  1},
+      /* C01 */ {0,  0,  0,  1,  0,  1,  0,  1},
+      /* C10 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C11 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C20 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C21 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C30 */ {0,  0,  0,  0,  0,  0,  0,  0},
+      /* C31 */ {0,  0,  0,  0,  0,  0,  0,  0},
+  });
+  // clang-format on
+}
+
+// P0 -> P1 -> P2 over several intervals: m2 reaches P1's second interval
+// after m1 left it, so C_{0,2} reaches C_{2,1} only through that
+// non-causal Z-path.
+TEST(OnlineZreachTable, MultiLevelChain) {
+  const std::vector<StreamEvent> ops = {
+      SE::send(0, 0, 1),    SE::checkpoint(0, 1), SE::deliver(0, 0, 1),
+      SE::checkpoint(1, 1), SE::send(1, 1, 2),    SE::send(2, 0, 1),
+      SE::checkpoint(0, 2), SE::deliver(2, 0, 1), SE::deliver(1, 1, 2),
+      SE::checkpoint(1, 2), SE::checkpoint(2, 1)};
+  // clang-format off
+  expect_zreach_table(3, ops, {
+      //         C00 C01 C02 C10 C11 C12 C20 C21
+      /* C00 */ {0,  0,  0,  0,  1,  1,  0,  1},
+      /* C01 */ {0,  0,  0,  0,  1,  1,  0,  1},
+      /* C02 */ {0,  0,  0,  0,  0,  1,  0,  1},
+      /* C10 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C11 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C12 */ {0,  0,  0,  0,  0,  0,  0,  1},
+      /* C20 */ {0,  0,  0,  0,  0,  0,  0,  0},
+      /* C21 */ {0,  0,  0,  0,  0,  0,  0,  0},
+  });
+  // clang-format on
+}
+
+// A Z-path that leaves P0 and comes back to it: C_{0,1} reaches C_{0,2}
+// only through P1, while C_{0,0} -> C_{0,1} and C_{0,2} -> C_{0,3} are
+// process edges alone. A TDV compare answers yes for every such pair, so
+// the same-process case needs the walk.
+TEST(OnlineZreachTable, ZPathReturnsToItsProcess) {
+  const std::vector<StreamEvent> ops = {
+      SE::send(0, 0, 1),    SE::checkpoint(0, 1), SE::deliver(0, 0, 1),
+      SE::send(1, 1, 0),    SE::checkpoint(1, 1), SE::deliver(1, 1, 0),
+      SE::checkpoint(0, 2), SE::checkpoint(0, 3)};
+  // clang-format off
+  expect_zreach_table(2, ops, {
+      //         C00 C01 C02 C03 C10 C11
+      /* C00 */ {0,  0,  1,  1,  0,  1},
+      /* C01 */ {0,  0,  1,  1,  0,  1},
+      /* C02 */ {0,  0,  0,  0,  0,  0},
+      /* C03 */ {0,  0,  0,  0,  0,  0},
+      /* C10 */ {0,  0,  1,  1,  0,  0},
+      /* C11 */ {0,  0,  1,  1,  0,  0},
+  });
+  // clang-format on
+}
+
 // feed() must be bit-identical to the same events fed one at a time: at
 // every batch boundary the two engines answer every cheap query the same,
 // and at the end the batched engine matches the batch pipeline exactly

@@ -14,6 +14,7 @@
 #include "protocols/observer.hpp"
 #include "protocols/registry.hpp"
 #include "sim/environments.hpp"
+#include "sim/protocol_driver.hpp"
 #include "sim/replay.hpp"
 
 namespace rdt {
@@ -55,18 +56,12 @@ TEST(ProtocolRegistry, MetadataMatchesInstances) {
     EXPECT_EQ(info.transmits_tdv, p->transmits_tdv()) << info.id;
     EXPECT_EQ(info.checkpoint_after_send, p->checkpoint_after_send())
         << info.id;
-    EXPECT_EQ(info.flat_piggyback_bits(5), p->flat_piggyback_bits())
-        << info.id;
+    // The declared shape is what the protocol's payload carries.
+    EXPECT_TRUE(info.shape == p->payload_shape()) << info.id;
     // The measured figure never exceeds the flat one (a codec that inflates
-    // its payload would be a bug), and both vanish when no channel exists.
-    EXPECT_LE(info.piggyback_bits(5), info.flat_piggyback_bits(5)) << info.id;
-    EXPECT_EQ(info.piggyback_bits(1), 0u) << info.id;
-    // The declared shape matches what the protocol's payload carries.
-    const Piggyback pb = p->make_payload();
-    EXPECT_EQ(info.shape.tdv, !pb.tdv.empty()) << info.id;
-    EXPECT_EQ(info.shape.simple, pb.simple.size() > 0) << info.id;
-    EXPECT_EQ(info.shape.causal, pb.causal.rows() > 0) << info.id;
-    EXPECT_EQ(info.shape.index, pb.index != Piggyback::kNoIndex) << info.id;
+    // its payload would be a bug), and it vanishes when no channel exists.
+    EXPECT_LE(piggyback_bits(info.kind, 5), info.flat_piggyback_bits(5)) << info.id;
+    EXPECT_EQ(piggyback_bits(info.kind, 1), 0u) << info.id;
   }
   // The RDT claims: every kind except the no-force baseline and BCS (which
   // only prevents useless checkpoints) ensures RDT.
@@ -88,7 +83,7 @@ TEST(ProtocolRegistry, PiggybackBitsPastTheDeltaCap) {
       const bool falls_back = info.codec == PiggybackCodecKind::kDelta && n > kMaxDeltaProcesses;
       EXPECT_EQ(info.codec_for(n), falls_back ? PiggybackCodecKind::kSparse : info.codec);
       std::size_t bits = 0;
-      EXPECT_NO_THROW(bits = info.piggyback_bits(n));
+      EXPECT_NO_THROW(bits = piggyback_bits(info.kind, n));
       EXPECT_EQ(bits > 0, carries);
     }
   }
@@ -133,21 +128,14 @@ TEST(ProtocolRegistry, ForceReasonIdsAreStableAndDistinct) {
 }
 
 TEST(ProtocolRegistry, ObserverIsWiredAtCreation) {
-  const ProtocolRegistry& registry = ProtocolRegistry::instance();
   CountingObserver counting;
-  const auto sender =
-      registry.create(ProtocolKind::kCbr, 2, 0, &counting);
-  const auto receiver =
-      registry.create(ProtocolKind::kCbr, 2, 1, &counting);
-  EXPECT_EQ(sender->observer(), &counting);
-
-  Piggyback pb = sender->make_payload();
-  sender->on_send(1, pb.slot());
-  const ForceReason reason = receiver->force_reason(pb, 0);
-  EXPECT_EQ(reason, ForceReason::kEveryDelivery);
-  receiver->on_forced_checkpoint(reason);
-  receiver->on_deliver(pb, 0);
-  receiver->on_basic_checkpoint();
+  PayloadArena arena;
+  ProtocolDriver driver(ProtocolKind::kCbr, 2, 1, PiggybackCodecKind::kFlat,
+                        arena, &counting, /*save_tdv_history=*/true);
+  EXPECT_EQ(driver.protocol(0).observer(), &counting);
+  driver.send(0, 1, 0);
+  EXPECT_TRUE(driver.deliver(0, 1, 0));  // CBR forces before every delivery
+  driver.basic_checkpoint(1);
 
   EXPECT_EQ(counting.sends(), 1);
   EXPECT_EQ(counting.deliveries(), 1);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,45 +17,13 @@
 #include "sim/payload_arena.hpp"
 #include "sim/replay.hpp"
 #include "sim/runner.hpp"
+#include "stream_fixtures.hpp"
 
 namespace rdt {
 namespace {
 
-struct Env {
-  std::string name;
-  std::function<Trace(std::uint64_t)> generate;
-};
-
-std::vector<Env> small_environments() {
-  std::vector<Env> envs;
-  envs.push_back({"random", [](std::uint64_t seed) {
-                    RandomEnvConfig cfg;
-                    cfg.num_processes = 6;
-                    cfg.duration = 80.0;
-                    cfg.basic_ckpt_mean = 8.0;
-                    cfg.seed = seed;
-                    return random_environment(cfg);
-                  }});
-  envs.push_back({"group", [](std::uint64_t seed) {
-                    GroupEnvConfig cfg;
-                    cfg.num_groups = 3;
-                    cfg.group_size = 3;
-                    cfg.overlap = 1;
-                    cfg.duration = 80.0;
-                    cfg.basic_ckpt_mean = 8.0;
-                    cfg.seed = seed;
-                    return group_environment(cfg);
-                  }});
-  envs.push_back({"client_server", [](std::uint64_t seed) {
-                    ClientServerEnvConfig cfg;
-                    cfg.num_servers = 5;
-                    cfg.num_requests = 60;
-                    cfg.basic_ckpt_mean = 8.0;
-                    cfg.seed = seed;
-                    return client_server_environment(cfg);
-                  }});
-  return envs;
-}
+using test::Env;
+using test::small_environments;
 
 TEST(ReplayEquivalence, FastPathAndArenaMatchFullReplay) {
   constexpr int kSeeds = 8;
@@ -91,28 +58,6 @@ TEST(ReplayEquivalence, FastPathAndArenaMatchFullReplay) {
         }
       }
     }
-  }
-}
-
-TEST(ReplayEquivalence, ExplicitArenaMatchesOwningPayloads) {
-  // Deterministic micro-check on the payload contents themselves: replay a
-  // trace once with the arena and once with owning payloads, and compare
-  // the per-message flat bits (shape constancy means a single constant).
-  RandomEnvConfig cfg;
-  cfg.num_processes = 5;
-  cfg.duration = 60.0;
-  cfg.basic_ckpt_mean = 6.0;
-  cfg.seed = 42;
-  const Trace trace = random_environment(cfg);
-  for (ProtocolKind kind : all_protocol_kinds()) {
-    SCOPED_TRACE(to_string(kind));
-    const auto bits =
-        ProtocolRegistry::instance().info(kind).flat_piggyback_bits(
-            trace.num_processes);
-    const ReplayResult r = replay_metrics(trace, kind);
-    EXPECT_EQ(r.flat_bits_total,
-              static_cast<unsigned long long>(bits) *
-                  static_cast<unsigned long long>(r.messages));
   }
 }
 

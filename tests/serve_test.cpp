@@ -432,6 +432,16 @@ TEST(ServePiggyback, SectionsPastTheDeltaCapAreSparseAndDecode) {
   EXPECT_GT(report.piggyback_bits, 0);
 }
 
+// A stream that delivers one message twice would make the receiver merge
+// the same payload twice; the section builder rejects the repeat.
+TEST(ServePiggyback, SecondDeliveryOfOneMessageIsRejected) {
+  const std::vector<StreamEvent> stream = {StreamEvent::send(0, 0, 1),
+                                           StreamEvent::deliver(0, 0, 1),
+                                           StreamEvent::deliver(0, 0, 1)};
+  EXPECT_THROW(build_piggyback_sections(stream, ProtocolKind::kBhmr, 2, 64),
+               std::invalid_argument);
+}
+
 // A bad section must not poison the frame's events or the pool: the events
 // apply, the section is counted in piggyback_rejected, and the session
 // keeps serving.

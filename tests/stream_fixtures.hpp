@@ -1,16 +1,20 @@
-// Shared stream fixtures for the online-engine and serving tests: a
-// recorder that captures a replay's append stream as StreamEvents, and the
-// lossy and delayed-delivery variants of a recorded stream.
+// Shared stream fixtures for the online-engine, serving and replay tests: a
+// recorder that captures a replay's append stream as StreamEvents, the
+// lossy and delayed-delivery variants of a recorded stream, and the small
+// environment families the equivalence suites sweep.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "ccp/builder.hpp"
 #include "online/engine.hpp"
+#include "sim/environments.hpp"
 #include "sim/replay.hpp"
 #include "util/rng.hpp"
 
@@ -115,6 +119,43 @@ inline long long delay_deliveries(std::vector<StreamEvent>& ops,
   for (const auto& key : keys) out.push_back(ops[key.second]);
   ops = std::move(out);
   return static_cast<long long>(moved.size());
+}
+
+// A named trace family: seed -> trace.
+struct Env {
+  std::string name;
+  std::function<Trace(std::uint64_t)> generate;
+};
+
+inline std::vector<Env> small_environments() {
+  std::vector<Env> envs;
+  envs.push_back({"random", [](std::uint64_t seed) {
+                    RandomEnvConfig cfg;
+                    cfg.num_processes = 6;
+                    cfg.duration = 80.0;
+                    cfg.basic_ckpt_mean = 8.0;
+                    cfg.seed = seed;
+                    return random_environment(cfg);
+                  }});
+  envs.push_back({"group", [](std::uint64_t seed) {
+                    GroupEnvConfig cfg;
+                    cfg.num_groups = 3;
+                    cfg.group_size = 3;
+                    cfg.overlap = 1;
+                    cfg.duration = 80.0;
+                    cfg.basic_ckpt_mean = 8.0;
+                    cfg.seed = seed;
+                    return group_environment(cfg);
+                  }});
+  envs.push_back({"client_server", [](std::uint64_t seed) {
+                    ClientServerEnvConfig cfg;
+                    cfg.num_servers = 5;
+                    cfg.num_requests = 60;
+                    cfg.basic_ckpt_mean = 8.0;
+                    cfg.seed = seed;
+                    return client_server_environment(cfg);
+                  }});
+  return envs;
 }
 
 }  // namespace rdt::test

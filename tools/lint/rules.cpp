@@ -462,47 +462,6 @@ void rule_bitspan_trim(const FileInput& file, std::string_view stripped,
 }
 
 // ---------------------------------------------------------------------------
-// owning-piggyback: PR 4 replaced the owning Piggyback parameters in the
-// protocol hooks with PiggybackView/PiggybackSlot (zero-copy arena slices).
-// A hook spelled with the old owning signature compiles in a downstream
-// fork but silently reintroduces a per-message allocation — ban the
-// signature itself.
-constexpr std::array<std::string_view, 6> kProtocolHooks = {
-    "fill_payload", "merge_payload", "force_reason",
-    "must_force",   "on_send",       "on_deliver",
-};
-
-void rule_owning_piggyback(const FileInput& file, std::string_view stripped,
-                           std::vector<Finding>& out) {
-  for (const std::string_view hook : kProtocolHooks) {
-    for (std::size_t pos = find_token(stripped, hook, 0);
-         pos != std::string_view::npos;
-         pos = find_token(stripped, hook, pos + 1)) {
-      std::size_t i = pos + hook.size();
-      while (i < stripped.size() &&
-             std::isspace(static_cast<unsigned char>(stripped[i])) != 0)
-        ++i;
-      if (i >= stripped.size() || stripped[i] != '(') continue;
-      int depth = 0;
-      std::size_t close = i;
-      while (close < stripped.size()) {
-        if (stripped[close] == '(') ++depth;
-        if (stripped[close] == ')' && --depth == 0) break;
-        ++close;
-      }
-      const std::string_view params = stripped.substr(i, close - i);
-      if (find_token(params, "Piggyback", 0) == std::string_view::npos)
-        continue;
-      if (suppressed(file.text, pos, "owning-piggyback")) continue;
-      out.push_back({file.path, line_of(stripped, pos), "owning-piggyback",
-                     "protocol hook '" + std::string(hook) +
-                         "' takes an owning Piggyback; use PiggybackView / "
-                         "PiggybackSlot (the arena API)"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // bool-zreach: the retention-aware engine (online/options.hpp) replaced the
 // raw `bool zreach(...)` query with the structured ZreachResult, whose
 // status distinguishes an evicted operand from an invalid one. Declaring a
@@ -564,7 +523,7 @@ void rule_flat_piggyback(const FileInput& file, std::string_view stripped,
       out.push_back({file.path, line_of(stripped, pos), "flat-piggyback",
                      std::string(needle) +
                          " outside the codec layer: report measured wire "
-                         "bits (ProtocolInfo::piggyback_bits, "
+                         "bits (piggyback_bits(kind, n), "
                          "ReplayResult::wire_bits_total) instead"});
     }
   }
@@ -631,9 +590,6 @@ const std::vector<RuleInfo>& rules() {
       {"bitspan-trim",
        "raw or_into kernels need trim_tail/tail_zero in the enclosing "
        "function"},
-      {"owning-piggyback",
-       "protocol hooks must take PiggybackView/PiggybackSlot, not an owning "
-       "Piggyback"},
       {"bool-zreach",
        "zreach must return ZreachResult, not a raw bool that conflates "
        "evicted and unreachable"},
@@ -654,7 +610,6 @@ std::vector<Finding> lint_file(const FileInput& file,
   rule_bare_mutex(file, stripped, out);
   rule_obs_hot_path(file, stripped, out);
   rule_bitspan_trim(file, stripped, out);
-  rule_owning_piggyback(file, stripped, out);
   rule_bool_zreach(file, stripped, out);
   rule_flat_piggyback(file, stripped, out);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {

@@ -4,8 +4,9 @@
 // the sanitizers cover the generic C++ hazards. What is left is exactly the
 // set of invariants this codebase invented for itself — the seqlock write
 // bracket, the annotated-mutex house rule, the hot-path observability
-// macros, BitSpan's trimmed-tail representation, the view-based piggyback
-// API — and those only a bespoke checker can see. The checks are textual
+// macros, BitSpan's trimmed-tail representation, the structured zreach
+// answer, the measured piggyback column — and those only a bespoke checker
+// can see. The checks are textual
 // (comment/string-stripped, token-boundary aware), deliberately so: they
 // run on any file in milliseconds with no compile database, and each rule
 // targets a pattern precise enough that text is sufficient.
