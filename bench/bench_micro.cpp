@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/global_checkpoint.hpp"
@@ -320,12 +321,12 @@ void BM_OnlineRecoveryQuery(benchmark::State& state, double lost_share) {
 }
 
 // One zreach() per 15 64-event batches on the same bounded n = 8 engine
-// and lossless stream as BM_OnlineRecoveryQuery, from the oldest retained
-// checkpoint of one process to the last durable checkpoint of the next,
-// the sources cycling over the processes. Only the query is timed; it
-// covers the reader's catch-up with the edges published since the last
-// query. hits counts the queries that found a Z-path.
-void BM_OnlineZreach(benchmark::State& state) {
+// and lossless stream as BM_OnlineRecoveryQuery. pick(engine, src) names
+// the pair, the sources cycling over the processes. Only the query is
+// timed: one walk of the published logs. hits counts the queries that
+// found a Z-path, answered those that were not kInvalid.
+template <typename Pick>
+void time_zreach(benchmark::State& state, Pick pick) {
   constexpr std::size_t kBatch = 64;
   constexpr std::size_t kBatchesPerQuery = 15;
   const std::vector<StreamEvent> ops = serve_stream(0.0);
@@ -335,6 +336,7 @@ void BM_OnlineZreach(benchmark::State& state) {
   std::size_t at = 0;
   ProcessId src = 0;
   long long hits = 0;
+  long long answered = 0;
   for (auto _ : state) {
     for (std::size_t b = 0; b < kBatchesPerQuery; ++b) {
       if (at + kBatch > all.size()) {
@@ -345,16 +347,38 @@ void BM_OnlineZreach(benchmark::State& state) {
       at += kBatch;
     }
     src = (src + 1) % options.num_processes;
-    const ProcessId dst = (src + 1) % options.num_processes;
-    const CkptId from{src, engine.first_retained(src)};
-    const CkptId to{dst, engine.current_interval(dst) - 1};
+    const auto [from, to] = pick(engine, src);
     const auto t0 = std::chrono::steady_clock::now();
     const ZreachResult r = engine.zreach(from, to);
     const auto t1 = std::chrono::steady_clock::now();
     hits += r.value ? 1 : 0;
+    answered += r.ok() ? 1 : 0;
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
   }
   state.counters["hits"] = static_cast<double>(hits);
+  state.counters["answered"] = static_cast<double>(answered);
+}
+
+// From the oldest retained checkpoint of one process to the last durable
+// checkpoint of the next; nearly every query finds a Z-path early.
+void BM_OnlineZreach(benchmark::State& state) {
+  time_zreach(state, [](const OnlineEngine& engine, ProcessId src) {
+    const ProcessId dst = (src + 1) % engine.num_processes();
+    return std::pair{CkptId{src, engine.first_retained(src)},
+                     CkptId{dst, engine.current_interval(dst) - 1}};
+  });
+}
+
+// The miss case: from C_{p,h+1} back to C_{p,h}, h = first_retained(p).
+// Such a Z-path would be a Z-cycle through C_{p,h}, and BHMR's patterns
+// are RDT, so they have none: every answer is false (hits reads 0), and
+// each answered query walks every state C_{p,h+1} reaches, nearly the
+// whole retained window. The walk's worst case.
+void BM_OnlineZreachMiss(benchmark::State& state) {
+  time_zreach(state, [](const OnlineEngine& engine, ProcessId src) {
+    const CkptIndex h = engine.first_retained(src);
+    return std::pair{CkptId{src, h + 1}, CkptId{src, h}};
+  });
 }
 
 // The serving engine's configuration: n = 8 under bounded(65536).
@@ -519,6 +543,7 @@ BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossless, 0.0)
 BENCHMARK_CAPTURE(BM_OnlineRecoveryQuery, lossy, 0.001)
     ->UseManualTime()->Iterations(3000);
 BENCHMARK(BM_OnlineZreach)->UseManualTime()->Iterations(3000);
+BENCHMARK(BM_OnlineZreachMiss)->UseManualTime()->Iterations(3000);
 BENCHMARK(BM_OnlineFeed);
 // Fixed like the recovery query: each timed pass feeds a cadence untimed.
 BENCHMARK(BM_OnlineCompact)->UseManualTime()->Iterations(200);

@@ -137,15 +137,12 @@ void OnlineEngine::reset(const EngineOptions& options) {
     // acquires them in the other order (heavy queries take rc_.mu and then
     // only the seqlock, never feed_mu_).
     const MutexLock reader_lock(rc_.mu);
-    rc_.reach.reset(retention_.enabled ? retention_.max_pooled_reach_rows
-                                       : 0);
     rc_.node_ids.resize(n);
     for (auto& t : rc_.node_ids) {
       t.ids.clear();
       t.base = 0;
     }
     rc_.nodes_consumed = 0;
-    rc_.edges_consumed = 0;
     rc_.durable_snap.assign(n, 0);
     rc_.recovery_memo_valid = false;
     // rc_.recovery_sweeps survives: it is a cumulative metrics counter.
@@ -770,16 +767,14 @@ bool OnlineEngine::compact_locked(long long min_evictable) {
       proc_pub_[p].frontier.store(ps.frontier, std::memory_order_relaxed);
     }
 
-    // (5) Empty zreach's cache at the new horizon; its next query replays
-    // the new logs. The recovery memo stays valid — eviction changes no
-    // sweep (the epoch was not bumped).
-    rc_.reach.reset(retention_.max_pooled_reach_rows);
+    // (5) Empty zreach's id table at the new horizon; its next query
+    // rereads the new node log. The recovery memo stays valid — eviction
+    // changes no sweep (the epoch was not bumped).
     for (std::size_t p = 0; p < n; ++p) {
       rc_.node_ids[p].ids.clear();
       rc_.node_ids[p].base = outcome.line.indices[p] + 1;
     }
     rc_.nodes_consumed = 0;
-    rc_.edges_consumed = 0;
 
     bump(compactions_, 1LL);
     bump(evicted_ckpts_, evictable);
@@ -862,7 +857,9 @@ void OnlineEngine::refresh_resident_bytes() {
   std::size_t reader = 0;
   {
     const MutexLock reader_lock(rc_.mu);
-    reader = rc_.reach.resident_bytes();
+    reader = mem::vec_bytes(rc_.scratch.stamp) +
+             mem::vec_bytes(rc_.scratch.stack) +
+             mem::vec_bytes(rc_.node_ids);
     for (const auto& t : rc_.node_ids) reader += mem::vec_bytes(t.ids);
   }
   resident_bytes_.store(feeder_resident_bytes() + reader,
@@ -967,23 +964,16 @@ StatsResult OnlineEngine::stats() const {
 // ---------------------------------------------------------------------------
 // Heavy queries: reader-side state under rc_.mu.
 
-void OnlineEngine::catch_up_reader(std::size_t nodes,
-                                   std::size_t edges) const {
+void OnlineEngine::catch_up_reader(std::size_t nodes) const {
   for (; rc_.nodes_consumed < nodes; ++rc_.nodes_consumed) {
     const CkptId c = node_log_[rc_.nodes_consumed];
-    const int id = rc_.reach.add_node();
     if (c.index < 0) continue;  // summary nodes have no table entry
     auto& t = rc_.node_ids[static_cast<std::size_t>(c.process)];
     // Per-process node indexes appear consecutively in the log (C_{p,0} or
     // the first retained one, then each successive frontier), so the id
     // table needs no gaps.
     RDT_ASSERT(c.index == t.base + static_cast<CkptIndex>(t.ids.size()));
-    t.ids.push_back(id);
-  }
-  for (; rc_.edges_consumed < edges; ++rc_.edges_consumed) {
-    const EdgeRec e = edge_log_[rc_.edges_consumed];
-    rc_.reach.add_edge(static_cast<int>(e.from),
-                       static_cast<int>(e.enc >> 1), (e.enc & 1u) != 0);
+    t.ids.push_back(static_cast<int>(rc_.nodes_consumed));
   }
 }
 
@@ -1009,7 +999,7 @@ ZreachResult OnlineEngine::zreach(const CkptId& from, const CkptId& to) const {
   const Counts c = read_stable([&] {
     return Counts{node_log_.size_published(), edge_log_.size_published()};
   });
-  catch_up_reader(c.nodes, c.edges);
+  catch_up_reader(c.nodes);
   const NodeLookup a = reader_lookup(from);
   const NodeLookup b = reader_lookup(to);
   // Invalid outranks evicted: naming a checkpoint the stream never produced
@@ -1018,7 +1008,40 @@ ZreachResult OnlineEngine::zreach(const CkptId& from, const CkptId& to) const {
     return ZreachResult::invalid_result();
   if (a.status == QueryStatus::kEvicted || b.status == QueryStatus::kEvicted)
     return ZreachResult::evicted_result();
-  return ZreachResult::make(rc_.reach.msg_reach(a.node, b.node));
+  return ZreachResult::make(msg_reach_locked(c.nodes, c.edges, a.node, to));
+}
+
+bool OnlineEngine::msg_reach_locked(std::size_t nodes, std::size_t edges,
+                                    int from, const CkptId& to) const {
+  // BFS over states (node << 1) | layer, layer 1 once a message edge has
+  // been taken; an EdgeRec's enc is (head << 1) | message, so the state an
+  // edge leads to is enc | layer. Out-edges come off the heads_ chains as
+  // in recovery_sweep_locked, skipping those linked in after the snapshot.
+  RollbackScratch& s = rc_.scratch;
+  s.begin(2 * nodes);
+  std::vector<int>& queue = s.stack;
+  const auto visit = [&](std::uint32_t state) {
+    if (s.mark(state)) queue.push_back(static_cast<int>(state));
+  };
+  visit(static_cast<std::uint32_t>(from) << 1);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto state = static_cast<std::uint32_t>(queue[head]);
+    const std::uint32_t u = state >> 1;
+    const std::uint32_t layer = state & 1u;
+    if (layer != 0) {
+      // A layer-1 node C_{q,z} with z <= to.index reaches `to` along q's
+      // process edges, all of them logged (ensure_frontier). Summary nodes
+      // (index -1) have no in-edges, so they never get here.
+      const CkptId c = node_log_[u];
+      if (c.process == to.process && c.index <= to.index) return true;
+    }
+    for (std::uint32_t e = heads_.load(u); e != 0;) {
+      const EdgeRec& r = edge_log_[e - 1];
+      if (e <= edges) visit(r.enc | layer);
+      e = r.prev;
+    }
+  }
+  return false;
 }
 
 RecoveryOutcome OnlineEngine::recovery_sweep_locked(

@@ -33,9 +33,8 @@
 //   * R-graph  — nodes are created lazily: C_{p,0} up front, then the
 //                *frontier* node C_{p,durable+1} on the first event of each
 //                open interval; nodes and edges go into append-only
-//                published logs that chain each node's out-edges, walked
-//                in place; only zreach replays them into a reader-side
-//                IncrementalReach (rgraph/incremental.hpp).
+//                published logs that chain each node's out-edges. Both
+//                heavy queries walk those chains in place.
 //   * RDT      — Wang's MM characterization (the minimal one: every
 //                two-message chain across a non-causal junction must be
 //                doubled), evaluated per junction at the moment both
@@ -48,11 +47,18 @@
 //                RDT verdict is two counter reads.
 //   * Recovery — one propagate_rollback() sweep (recovery/rollback.hpp)
 //                straight off the published logs, memoized per graph epoch.
+//   * Z-paths  — zreach(a, b) walks the same chains over (node, layer)
+//                states, layer 1 once a message edge has been taken, and
+//                stops at the first layer-1 node of b's process at or
+//                below b's index (every process edge is logged, so that
+//                node reaches b).
 //
-// Amortized cost is O(1) per event in history length: every closure row
-// consumes every edge once, junction work is per junction, and all other
-// per-event work is O(n) in the process count only. bench/bench_stream.cpp
-// measures this (flat events/sec over 10x trace growth).
+// Amortized feed cost is O(1) per event in history length: junction work
+// is per junction, and all other per-event work is O(n) in the process
+// count only. bench/bench_stream.cpp measures this (flat events/sec over
+// 10x trace growth). A zreach costs O(states visited), no feed-side work:
+// a hit stops early, a miss walks every state reachable from `a` in the
+// retained window (the whole history of a keep-all engine).
 //
 // Thread-safety: ONE feeder thread, any number of reader threads, and the
 // readers never block the feeder.
@@ -68,11 +74,11 @@
 //     live_clock are wait-free apart from that retry;
 //     events_consumed/current_interval are single atomic loads.
 //   * The heavy queries (recovery_line, zreach) serialize on a separate
-//     reader-side mutex guarding the memoized rollback sweep and zreach's
-//     lazily caught-up closure cache; they snapshot only O(n) counters under
-//     the seqlock and then compute on immutable log prefixes, so the feeder
-//     is again never blocked — a query observes the engine as of its
-//     snapshot (the sweep skips edges linked in after it).
+//     reader-side mutex guarding the memoized rollback sweep, the walks'
+//     stamped scratch and zreach's checkpoint-id table; they snapshot only
+//     O(n) counters under the seqlock and then walk immutable log prefixes,
+//     so the feeder is again never blocked — a query observes the engine as
+//     of its snapshot (both walks skip edges linked in after it).
 //   * A query overlapping a feed() batch retries until the batch commits;
 //     batches bound the retry window, so prefer moderate batch sizes when
 //     readers poll latency-sensitively.
@@ -88,7 +94,7 @@
 // engine bounds resident memory to the live frontier: compact() — manual or
 // automatic on the policy's cadence — folds everything at or behind the
 // current recovery line into one summary node per process and releases the
-// storage (saved-TDV rows, R-graph nodes/edges, closure rows, and every
+// storage (saved-TDV rows, R-graph nodes/edges, and every
 // message row whose send interval has closed, up to the first that is still
 // open: delivered rows are dropped, undelivered ones parked, see msgs_).
 // A pass costs O(retained), not O(cadence): the R-graph logs are rebuilt
@@ -126,7 +132,6 @@
 #include "online/options.hpp"
 #include "recovery/recovery_line.hpp"
 #include "recovery/rollback.hpp"
-#include "rgraph/incremental.hpp"
 #include "util/published_log.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -203,8 +208,8 @@ class OnlineEngine final : public PatternListener {
 
   // Rewind to the freshly-constructed state under `options`, recycling
   // every arena the old stream grew: the message table, the snapshot slab,
-  // the saved-TDV windows, published logs, closure rows, and (when the
-  // process count is unchanged) the mirror arrays all keep their
+  // the saved-TDV windows, published logs, the reader's walk scratch, and
+  // (when the process count is unchanged) the mirror arrays all keep their
   // allocations, so a serving pool can hand a recycled engine to a new
   // session without paying the stream's warm-up allocations again. The
   // recycled engine is bit-identical to a fresh OnlineEngine(options) on
@@ -212,10 +217,10 @@ class OnlineEngine final : public PatternListener {
   //
   // When the incoming policy is retention-enabled, recycled capacity is
   // capped (max_reset_message_capacity rows for the message table, the
-  // parked sends, the snapshot slab and each saved-TDV window;
-  // max_pooled_reach_rows; the published logs' unused chunks), so a
-  // pathological previous session cannot permanently inflate a pooled
-  // engine. A keep-all reset preserves the historical unbounded recycling.
+  // parked sends, the snapshot slab and each saved-TDV window; the
+  // published logs' unused chunks), so a pathological previous session
+  // cannot permanently inflate a pooled engine. A keep-all reset preserves
+  // the historical unbounded recycling.
   //
   // Concurrency contract: reset is a *lifecycle* operation, not a feed —
   // the caller must guarantee no concurrent feeder OR reader for its
@@ -418,18 +423,19 @@ class OnlineEngine final : public PatternListener {
   template <typename Fn>
   auto read_stable(Fn&& fn) const -> decltype(fn());
 
-  // The memoized rollback sweep plus zreach's lazily caught-up closure of
-  // the R-graph. Guarded by its own mutex: heavy queries serialize with
-  // each other here, never with the feeder.
+  // The memoized rollback sweep, zreach's checkpoint-id table (caught up
+  // from the node log) and the stamped scratch both walks share. Guarded by
+  // its own mutex: heavy queries serialize with each other here, never with
+  // the feeder.
   struct ReaderCache {
     AnnotatedMutex mu;
-    IncrementalReach reach RDT_GUARDED_BY(mu);
     std::vector<NodeIdTable> node_ids RDT_GUARDED_BY(mu);
     std::size_t nodes_consumed RDT_GUARDED_BY(mu) = 0;
-    std::size_t edges_consumed RDT_GUARDED_BY(mu) = 0;
     // scratch for snapshots: durable indices and the frontier seeds
     std::vector<CkptIndex> durable_snap RDT_GUARDED_BY(mu);
     std::vector<int> seeds RDT_GUARDED_BY(mu);
+    // Visited stamps: per node for the rollback sweep, per (node, layer)
+    // state for zreach; the stack doubles as zreach's BFS queue.
     RollbackScratch scratch RDT_GUARDED_BY(mu);
     RecoveryOutcome recovery_memo RDT_GUARDED_BY(mu);
     std::uint64_t recovery_memo_epoch RDT_GUARDED_BY(mu) = 0;
@@ -483,9 +489,9 @@ class OnlineEngine final : public PatternListener {
   // RDT_AUDITS-only: recompute every mirror from the feeder state.
   void audit_published_state() const RDT_REQUIRES(feed_mu_);
 
-  // Reader side; caller holds rc_.mu. zreach's closure replay.
-  void catch_up_reader(std::size_t nodes, std::size_t edges) const
-      RDT_REQUIRES(rc_.mu);
+  // Reader side; caller holds rc_.mu. Extends rc_.node_ids to the node
+  // log's first `nodes` entries.
+  void catch_up_reader(std::size_t nodes) const RDT_REQUIRES(rc_.mu);
   // Horizon-aware checkpoint-id resolution against the reader tables.
   struct NodeLookup {
     QueryStatus status = QueryStatus::kInvalid;
@@ -498,6 +504,11 @@ class OnlineEngine final : public PatternListener {
   RecoveryOutcome recovery_sweep_locked(std::size_t nodes, std::size_t edges,
                                         std::span<const int> seeds) const
       RDT_REQUIRES(rc_.mu);
+  // zreach's walk over the logs' first `nodes` nodes and `edges` edges: is
+  // there an R-path from node `from` to checkpoint `to` with at least one
+  // message edge?
+  bool msg_reach_locked(std::size_t nodes, std::size_t edges, int from,
+                        const CkptId& to) const RDT_REQUIRES(rc_.mu);
 
   mutable AnnotatedMutex feed_mu_;  // serializes feeders (on_* / feed)
 

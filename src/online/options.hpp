@@ -72,13 +72,11 @@ struct RetentionPolicy {
   long long compact_every_events = 1 << 20;
   int min_evictable_checkpoints = 64;
 
-  // Caps applied by compact() and reset() so a pathological stream cannot
+  // Cap applied by compact() and reset() so a pathological stream cannot
   // permanently inflate a recycled engine: the row capacity surviving a
   // reset (message table, parked sends, snapshot slab slots, and each
-  // process's saved-TDV window), and closure rows pooled across a
-  // compaction's graph rebuild.
+  // process's saved-TDV window).
   std::size_t max_reset_message_capacity = std::size_t{1} << 16;
-  std::size_t max_pooled_reach_rows = 256;
 
   static RetentionPolicy keep_all() { return {}; }
   static RetentionPolicy bounded(long long every_events = 1 << 20) {

@@ -60,7 +60,6 @@
 #include "recovery/gc.hpp"
 #include "recovery/recovery_line.hpp"
 #include "recovery/rollback.hpp"
-#include "rgraph/incremental.hpp"
 #include "rgraph/reachability.hpp"
 #include "rgraph/rgraph.hpp"
 #include "rgraph/rgraph_dot.hpp"

@@ -18,8 +18,9 @@
 // reverse topological order. Layer 0 has only process edges, one chain per
 // process, so msg_reach(C_{i,x}) is msg_reach(C_{i,x+1}) plus the reach
 // rows of the message-edge heads leaving C_{i,x} — one backward sweep per
-// process. The online engine's IncrementalReach maintains the same
-// relations by a different method; neither is built from the other.
+// process. The online engine's zreach answers msg_reach per query by a
+// two-layer walk over its published logs instead; neither is built from
+// the other.
 #pragma once
 
 #include <utility>

@@ -35,14 +35,19 @@ struct ClientTally {
 std::vector<PiggybackSection> build_piggyback_sections(
     std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
     std::size_t batch) {
-  // Message ids index the arena; undelivered sends keep their slot, and one
-  // delivered bit per send rejects a second delivery.
+  // Message ids index the arena; undelivered sends keep their slot. Each
+  // send's endpoints are recorded, so a delivery must name them, and a
+  // delivered send's are cleared, so a second delivery is rejected.
   const auto num_sends = static_cast<std::size_t>(
       std::count_if(events.begin(), events.end(), [](const StreamEvent& e) {
         return e.kind == EventKind::kSend;
       }));
+  struct Endpoints {
+    ProcessId sender = -1;
+    ProcessId receiver = -1;
+  };
   MsgId next_send = 0;
-  std::vector<bool> delivered(num_sends, false);
+  std::vector<Endpoints> open_sends(num_sends);
   const auto codec =
       ProtocolRegistry::instance().info(kind).codec_for(num_processes);
   PayloadArena arena;
@@ -71,20 +76,24 @@ std::vector<PiggybackSection> build_piggyback_sections(
                       "piggyback generation needs the stream's sends "
                       "numbered 0, 1, 2, ... in stream order");
           ++next_send;
+          open_sends[static_cast<std::size_t>(e.msg)] = {e.p, e.q};
           driver.send(e.p, e.q, e.msg);
           const std::span<const std::uint8_t> bytes = arena.last_encoded();
           section.bytes.insert(section.bytes.end(), bytes.begin(), bytes.end());
           section.sizes.push_back(static_cast<std::uint32_t>(bytes.size()));
           break;
         }
-        case EventKind::kDeliver:
+        case EventKind::kDeliver: {
           RDT_REQUIRE(e.msg >= 0 && e.msg < next_send,
                       "deliver of a message the stream never sent");
-          RDT_REQUIRE(!delivered[static_cast<std::size_t>(e.msg)],
-                      "second delivery of one message");
-          delivered[static_cast<std::size_t>(e.msg)] = true;
+          Endpoints& send = open_sends[static_cast<std::size_t>(e.msg)];
+          RDT_REQUIRE(send.sender != -1, "second delivery of one message");
+          RDT_REQUIRE(send.sender == e.p && send.receiver == e.q,
+                      "delivery's sender and receiver differ from its send's");
+          send = Endpoints{};
           driver.deliver(e.p, e.q, e.msg);
           break;
+        }
         case EventKind::kCheckpoint:
           driver.basic_checkpoint(e.p);
           break;

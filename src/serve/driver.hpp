@@ -69,9 +69,10 @@ struct DriverReport {
 // (sim/protocol_driver.hpp; checkpoint events count as basic) and chops
 // each send's payload, encoded with ProtocolInfo::codec_for(num_processes),
 // into one PiggybackSection per `batch`-event frame. The stream's sends
-// must number their messages 0, 1, 2, ... as a recorded stream does.
-// run_clients calls it once per run and shares the sections read-only
-// across its producer threads.
+// must number their messages 0, 1, 2, ... as a recorded stream does, and
+// each delivery must name its send's sender and receiver, once; any other
+// stream throws std::invalid_argument. run_clients calls it once per run
+// and shares the sections read-only across its producer threads.
 std::vector<PiggybackSection> build_piggyback_sections(
     std::span<const StreamEvent> events, ProtocolKind kind, int num_processes,
     std::size_t batch);

@@ -379,7 +379,6 @@ TEST(CompactionReset, RetentionCapsRecycledCapacity) {
 
   RetentionPolicy tight = eager_manual();
   tight.max_reset_message_capacity = 64;
-  tight.max_pooled_reach_rows = 2;
 
   OnlineEngine capped(EngineOptions{4});
   OnlineEngine uncapped(EngineOptions{4});

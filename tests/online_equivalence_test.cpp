@@ -731,40 +731,52 @@ TEST(OnlineReset, RepeatedResetStaysFresh) {
       ops.size());
 }
 
-bool same_outcome(const RecoveryOutcome& a, const RecoveryOutcome& b) {
+bool same_answer(const RecoveryOutcome& a, const RecoveryOutcome& b) {
   return a.line == b.line && a.rollback_intervals == b.rollback_intervals &&
          a.total_rollback == b.total_rollback &&
          a.worst_fraction == b.worst_fraction;
 }
+bool same_answer(const ZreachResult& a, const ZreachResult& b) {
+  return a == b;
+}
 
-// The recovery outcome at every batch boundary of a serial keep-all twin
-// fed `ops` in `batch`-event batches; [0] is the empty engine's.
-std::vector<RecoveryOutcome> boundary_outcomes(
-    int num_processes, const std::vector<StreamEvent>& ops,
-    std::size_t batch) {
+// query(twin) at every batch boundary of a serial keep-all twin fed `ops`
+// in `batch`-event batches; [0] is the empty engine's.
+template <typename Query>
+auto boundary_answers(int num_processes, const std::vector<StreamEvent>& ops,
+                      std::size_t batch, Query query) {
   OnlineEngine twin(EngineOptions{num_processes});
-  std::vector<RecoveryOutcome> out{twin.recovery_line().value};
+  std::vector<decltype(query(twin))> out{query(twin)};
   const std::span<const StreamEvent> all(ops);
   for (std::size_t i = 0; i < all.size(); i += batch) {
     twin.feed(all.subspan(i, std::min(batch, all.size() - i)));
-    out.push_back(twin.recovery_line().value);
+    out.push_back(query(twin));
   }
   return out;
 }
 
-// One reader's position among the boundary outcomes. A concurrent answer
-// is a snapshot taken between two batches, so it must equal the outcome at
+std::vector<RecoveryOutcome> boundary_outcomes(
+    int num_processes, const std::vector<StreamEvent>& ops,
+    std::size_t batch) {
+  return boundary_answers(num_processes, ops, batch,
+                          [](const OnlineEngine& twin) {
+                            return twin.recovery_line().value;
+                          });
+}
+
+// One reader's position among the boundary answers. A concurrent answer
+// is a snapshot taken between two batches, so it must equal the answer at
 // some boundary, and a later answer can never match an earlier boundary.
+template <typename T>
 class BoundaryCursor {
  public:
-  explicit BoundaryCursor(const std::vector<RecoveryOutcome>& outcomes)
-      : outcomes_(outcomes) {}
+  explicit BoundaryCursor(const std::vector<T>& answers) : answers_(answers) {}
 
-  // Moves to the first boundary at or after the current one whose outcome
+  // Moves to the first boundary at or after the current one whose answer
   // equals `got`; false (and no move) when there is none.
-  bool advance(const RecoveryOutcome& got) {
-    for (std::size_t k = at_; k < outcomes_.size(); ++k) {
-      if (same_outcome(outcomes_[k], got)) {
+  bool advance(const T& got) {
+    for (std::size_t k = at_; k < answers_.size(); ++k) {
+      if (same_answer(answers_[k], got)) {
         at_ = k;
         return true;
       }
@@ -773,7 +785,7 @@ class BoundaryCursor {
   }
 
  private:
-  const std::vector<RecoveryOutcome>& outcomes_;
+  const std::vector<T>& answers_;
   std::size_t at_ = 0;
 };
 
@@ -788,23 +800,39 @@ TEST(OnlineConcurrency, QueriesDuringFeed) {
 
   const std::vector<RecoveryOutcome> outcomes =
       boundary_outcomes(cfg.num_processes, ops, 1);
+  // One Z-path query per reader. Each is kInvalid until both checkpoints
+  // exist, then false for 30-odd boundaries, then true for good.
+  const std::pair<CkptId, CkptId> pairs[3] = {{{0, 12}, {3, 15}},
+                                              {{2, 5}, {3, 7}},
+                                              {{0, 11}, {1, 15}}};
+  std::vector<std::vector<ZreachResult>> reach_answers;
+  for (const auto& pair : pairs) {
+    reach_answers.push_back(boundary_answers(
+        cfg.num_processes, ops, 1, [&pair](const OnlineEngine& twin) {
+          return twin.zreach(pair.first, pair.second);
+        }));
+  }
   OnlineEngine engine(EngineOptions{cfg.num_processes});
   std::atomic<bool> done{false};
   std::atomic<long long> off_boundary{0};
+  std::atomic<long long> reach_off_boundary{0};
   // The feed starts once every reader has run one round of queries.
   std::latch latch(3);
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&engine, &done, &outcomes, &off_boundary, &latch] {
+    readers.emplace_back([&, t] {
       BoundaryCursor cursor(outcomes);
+      BoundaryCursor reach_cursor(reach_answers[static_cast<std::size_t>(t)]);
+      const auto [from, to] = pairs[t];
       long long sink = 0;
       for (bool first = true; first || !done.load(std::memory_order_acquire);
            first = false) {
         sink += engine.is_rdt_so_far() ? 1 : 0;
         if (!cursor.advance(engine.recovery_line().value)) ++off_boundary;
         sink += engine.stats().value.noncausal_junctions;
-        sink += engine.zreach({0, 0}, {1, 0}).value ? 1 : 0;
+        if (!reach_cursor.advance(engine.zreach(from, to)))
+          ++reach_off_boundary;
         sink += engine.live_tdv(0).size();
         if (first) latch.count_down();
       }
@@ -817,6 +845,16 @@ TEST(OnlineConcurrency, QueriesDuringFeed) {
   done.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
   EXPECT_EQ(off_boundary.load(), 0);
+  EXPECT_EQ(reach_off_boundary.load(), 0);
+  // Each pair's twin answers run kInvalid, false, true, so the readers'
+  // answers are checked against all three kinds in their order.
+  for (const std::vector<ZreachResult>& answers : reach_answers) {
+    EXPECT_EQ(answers.front(), ZreachResult::invalid_result());
+    EXPECT_NE(std::find(answers.begin(), answers.end(),
+                        ZreachResult::make(false)),
+              answers.end());
+    EXPECT_EQ(answers.back(), ZreachResult::make(true));
+  }
 
   // The feed's end state must still match the batch pipeline exactly.
   const std::vector<std::size_t> deliver_pos = deliver_positions(ops);

@@ -442,6 +442,22 @@ TEST(ServePiggyback, SecondDeliveryOfOneMessageIsRejected) {
                std::invalid_argument);
 }
 
+// A delivery naming other endpoints than its send would run the receiver's
+// force decision and merge against the wrong sender, so
+// build_piggyback_sections rejects it.
+TEST(ServePiggyback, DeliveryEndpointsMustMatchTheSend) {
+  const std::vector<StreamEvent> wrong_sender = {StreamEvent::send(0, 0, 1),
+                                                 StreamEvent::deliver(0, 2, 1)};
+  EXPECT_THROW(
+      build_piggyback_sections(wrong_sender, ProtocolKind::kBhmr, 3, 64),
+      std::invalid_argument);
+  const std::vector<StreamEvent> wrong_receiver = {
+      StreamEvent::send(0, 0, 1), StreamEvent::deliver(0, 0, 2)};
+  EXPECT_THROW(
+      build_piggyback_sections(wrong_receiver, ProtocolKind::kBhmr, 3, 64),
+      std::invalid_argument);
+}
+
 // A bad section must not poison the frame's events or the pool: the events
 // apply, the section is counted in piggyback_rejected, and the session
 // keeps serving.
