@@ -63,14 +63,17 @@ void sweep_forward_prob(BenchReport& report, int seeds, int threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
+  const int seeds = args.seeds(10);
+  const int threads = args.threads();
   BenchReport report("client_server", args);
   banner("E3 (client/server chains)",
          "forced-checkpoint overhead under synchronous request chains");
-  const int seeds = args.seeds(10);
-  sweep_chain_length(report, seeds, args.threads());
-  sweep_forward_prob(report, seeds, args.threads());
+  sweep_chain_length(report, seeds, threads);
+  sweep_forward_prob(report, seeds, threads);
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

@@ -6,6 +6,7 @@
 // optional chrome://tracing span capture (--trace).
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +19,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -27,6 +30,7 @@
 #include "protocols/registry.hpp"
 #include "sim/environments.hpp"
 #include "sim/runner.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace rdt::bench {
@@ -38,7 +42,12 @@ namespace rdt::bench {
 //   --json PATH   write the rdt-bench-v2 report
 //   --trace PATH  capture an observability session, write a chrome trace
 // — plus whatever experiment-specific flags it reads via flag_or()/has().
+// --seeds and --threads take the whole next token as a positive integer;
+// anything else prints a usage line and throws UsageError, which main()
+// maps to exit code 2, like the CLI tools.
 // ---------------------------------------------------------------------------
+
+struct UsageError {};
 
 class BenchArgs {
  public:
@@ -62,9 +71,9 @@ class BenchArgs {
     return v != nullptr ? std::string(v) : std::move(fallback);
   }
 
-  int seeds(int fallback) const { return flag_or("--seeds", fallback); }
+  int seeds(int fallback) const { return positive_flag("--seeds", fallback); }
   int threads() const {
-    return flag_or(
+    return positive_flag(
         "--threads",
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
   }
@@ -72,6 +81,24 @@ class BenchArgs {
   std::string trace_path() const { return flag_or("--trace", std::string()); }
 
  private:
+  int positive_flag(const std::string& flag, int fallback) const {
+    if (!has(flag)) return fallback;
+    const char* v = value_of(flag);
+    if (v != nullptr) {
+      const std::string_view token(v);
+      const char* const end = token.data() + token.size();
+      int value = 0;
+      const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+      if (ec == std::errc() && ptr == end && value > 0) return value;
+    }
+    const std::string_view argv0(argv_[0]);
+    const std::string_view program = argv0.substr(argv0.rfind('/') + 1);
+    std::cerr << program << ": " << flag << " takes a positive integer\n"
+              << "usage: " << program
+              << " [--seeds N] [--threads N] [--json PATH] [--trace PATH]\n";
+    throw UsageError{};
+  }
+
   const char* value_of(const std::string& flag) const {
     for (int i = 1; i + 1 < argc_; ++i)
       if (argv_[i] == flag) return argv_[i + 1];
@@ -221,23 +248,7 @@ class JsonValue {
   static void dump_one(std::ostream& os, long long i) { os << i; }
   static void dump_one(std::ostream& os, unsigned long long u) { os << u; }
   static void dump_one(std::ostream& os, const std::string& s) {
-    os << '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-               << static_cast<int>(c) << std::dec << std::setfill(' ');
-          } else {
-            os << c;
-          }
-      }
-    }
-    os << '"';
+    json::write_string(os, s);
   }
   static void dump_one(std::ostream& os, const JsonObject& o) {
     os << '{';

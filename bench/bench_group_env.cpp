@@ -71,14 +71,17 @@ void sweep_group_count(BenchReport& report, int seeds, int threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
+  const int seeds = args.seeds(10);
+  const int threads = args.threads();
   BenchReport report("group_env", args);
   banner("E2 (overlapping group communication)",
          "forced-checkpoint overhead with group-local traffic");
-  const int seeds = args.seeds(10);
-  sweep_overlap(report, seeds, args.threads());
-  sweep_group_count(report, seeds, args.threads());
+  sweep_overlap(report, seeds, threads);
+  sweep_group_count(report, seeds, threads);
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

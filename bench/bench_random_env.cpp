@@ -92,15 +92,18 @@ void fifo_ablation(BenchReport& report, int seeds, int threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
+  const int seeds = args.seeds(10);
+  const int threads = args.threads();
   BenchReport report("random_env", args);
   banner("E1 (random environments)",
          "forced-checkpoint overhead under uniform point-to-point traffic");
-  const int seeds = args.seeds(10);
-  sweep_ckpt_period(report, /*num_processes=*/8, seeds, args.threads());
-  sweep_process_count(report, seeds, args.threads());
-  fifo_ablation(report, seeds, args.threads());
+  sweep_ckpt_period(report, /*num_processes=*/8, seeds, threads);
+  sweep_process_count(report, seeds, threads);
+  fifo_ablation(report, seeds, threads);
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

@@ -67,12 +67,13 @@ std::vector<EnvCase> environments() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
+  const int seeds = args.seeds(12);
+  const int threads = args.threads();
   BenchReport report("reduction", args);
   banner("E4 (reduction vs FDAS)",
          "percentage of forced checkpoints saved w.r.t. FDAS per environment");
-  const int seeds = 12;
   const std::vector<ProtocolKind> kinds{
       ProtocolKind::kFdas, ProtocolKind::kBhmrC1Only,
       ProtocolKind::kBhmrNoSimple, ProtocolKind::kBhmr};
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
                "BHMR %"});
   double min_bhmr_reduction = 100.0;
   for (const auto& env : environments()) {
-    const auto stats = sweep(env.generate, kinds, seeds, args.threads());
+    const auto stats = sweep(env.generate, kinds, seeds, threads);
     report.add_sweep(env.name, {{"seeds", seeds}}, stats);
     table.begin_row().add(env.name);
     table.add(stats[0].total_forced);
@@ -111,4 +112,6 @@ int main(int argc, char** argv) {
                                 {"claim_holds", min_bhmr_reduction >= 10.0}});
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

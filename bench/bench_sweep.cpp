@@ -22,11 +22,11 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("sweep", args);
   const int seeds = args.seeds(20);
   const int threads = args.threads();
+  BenchReport report("sweep", args);
 
   banner("sweep throughput",
          "wall time of the full protocol-study sweep per environment");
@@ -62,4 +62,6 @@ int main(int argc, char** argv) {
                "move between runs\nor thread counts.\n";
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

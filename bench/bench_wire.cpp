@@ -86,11 +86,11 @@ EquivalenceRow check_equivalence(const Trace& trace, ProtocolKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
-  BenchReport report("wire", args);
   const int seeds = args.seeds(20);
   const int threads = args.threads();
+  BenchReport report("wire", args);
   const std::vector<ProtocolKind> kinds = pareto_protocols();
   const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
@@ -219,4 +219,6 @@ int main(int argc, char** argv) {
                "bcs keep it even where delta edges it out.\n";
   report.finish();
   return all_ok ? 0 : 1;
+} catch (const UsageError&) {
+  return 2;
 }

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace rdt::obs {
 
@@ -26,36 +27,6 @@ void ObsSession::deactivate() {
                                    std::memory_order_acq_rel);
 }
 
-namespace {
-
-// Minimal JSON string escaping (the names flowing through here are ASCII
-// identifiers, but stay correct for arbitrary bytes).
-void dump_escaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        else
-          os << c;
-    }
-  }
-  os << '"';
-}
-
-void dump_escaped(std::ostream& os, const std::string& s) {
-  dump_escaped(os, s.c_str());
-}
-
-}  // namespace
-
 void ObsSession::write_chrome_trace(std::ostream& os) const {
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -63,15 +34,15 @@ void ObsSession::write_chrome_trace(std::ostream& os) const {
     if (!first) os << ',';
     first = false;
     os << "{\"name\":";
-    dump_escaped(os, ev.name);
+    json::write_string(os, ev.name);
     os << ",\"cat\":";
-    dump_escaped(os, ev.cat);
+    json::write_string(os, ev.cat);
     os << ",\"ph\":\"X\",\"ts\":" << ev.ts_us << ",\"dur\":" << ev.dur_us
        << ",\"pid\":0,\"tid\":" << ev.tid << ",\"args\":{";
     if (ev.arg_name != nullptr && ev.arg_value != nullptr) {
-      dump_escaped(os, ev.arg_name);
+      json::write_string(os, ev.arg_name);
       os << ':';
-      dump_escaped(os, ev.arg_value);
+      json::write_string(os, ev.arg_value);
     }
     os << "}}";
   }
@@ -81,14 +52,14 @@ void ObsSession::write_chrome_trace(std::ostream& os) const {
   os << ",\"metrics\":{\"counters\":{";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     if (i > 0) os << ',';
-    dump_escaped(os, snap.counters[i].first);
+    json::write_string(os, snap.counters[i].first);
     os << ':' << snap.counters[i].second;
   }
   os << "},\"histograms\":{";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const HistogramSnapshot& h = snap.histograms[i];
     if (i > 0) os << ',';
-    dump_escaped(os, h.name);
+    json::write_string(os, h.name);
     os << ":{\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b)
       os << (b > 0 ? "," : "") << h.bounds[b];

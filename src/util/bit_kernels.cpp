@@ -2,7 +2,7 @@
 
 namespace rdt::bitkern {
 
-namespace portable {
+namespace detail {
 
 void or_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   std::size_t i = 0;
@@ -104,30 +104,7 @@ std::size_t first_nonzero(const std::uint64_t* p, std::size_t n) {
   return n;
 }
 
-}  // namespace portable
-
-const Kernels& portable_kernels() {
-  static const Kernels k = {portable::or_into,  portable::or_into_changed,
-                            portable::and_into, portable::equal,
-                            portable::popcount, portable::any,
-                            portable::first_nonzero, "portable"};
-  return k;
-}
-
-const Kernels* simd_kernels() {
-#ifdef RDT_SIMD_AVX2
-  if (__builtin_cpu_supports("avx2")) return detail::avx2_kernels_impl();
-#endif
-  return nullptr;
-}
-
-const Kernels& active() {
-  static const Kernels& k = []() -> const Kernels& {
-    if (const Kernels* simd = simd_kernels()) return *simd;
-    return portable_kernels();
-  }();
-  return k;
-}
+}  // namespace detail
 
 std::size_t find_next(const std::uint64_t* words, std::size_t size,
                       std::size_t from) {

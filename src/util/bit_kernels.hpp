@@ -1,55 +1,19 @@
 // Word-level bitset kernels behind BitVector / BitSpan / BitMatrix.
 //
-// Three implementations of every kernel:
-//  * bitkern::scalar — one word per iteration, no unrolling. The reference
-//    every other implementation must match bit for bit (enforced by
-//    tests/bit_kernels_test.cpp).
-//  * bitkern::portable — 4x-unrolled word loops; the default dispatch target
-//    on every build.
-//  * AVX2 (bit_kernels_avx2.cpp, compiled only under -DRDT_SIMD=ON with
-//    -mavx2 on that one translation unit) — 256-bit unaligned loads/stores,
-//    selected at runtime iff the CPU reports AVX2.
-//
-// The public entry points (bitkern::or_into etc.) inline a short-block
-// scalar fast path — n <= kInlineWords words covers every per-process row at
-// realistic process counts, where a function-pointer dispatch would cost
-// more than the OR itself — and defer longer blocks through a dispatch table
-// resolved once on first use.
+// Two loops per kernel, one path per block size:
+//  * bitkern::scalar — one word per iteration, no unrolling, inline. The
+//    public entry points run it at the call site for blocks of n <=
+//    kInlineWords words, which covers every per-process row at realistic
+//    process counts; it is also the reference the out-of-line loops must
+//    match bit for bit (tests/bit_kernels_test.cpp).
+//  * bitkern::detail — 4x-unrolled word loops, out of line in
+//    bit_kernels.cpp, called directly for longer blocks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace rdt::bitkern {
-
-// Function-pointer table for the long-block paths. The short-block paths
-// are inlined at the call site below and never dispatch.
-struct Kernels {
-  void (*or_into)(std::uint64_t* dst, const std::uint64_t* src, std::size_t n);
-  bool (*or_into_changed)(std::uint64_t* dst, const std::uint64_t* src,
-                          std::size_t n);
-  void (*and_into)(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n);
-  bool (*equal)(const std::uint64_t* a, const std::uint64_t* b,
-                std::size_t n);
-  std::size_t (*popcount)(const std::uint64_t* p, std::size_t n);
-  bool (*any)(const std::uint64_t* p, std::size_t n);
-  std::size_t (*first_nonzero)(const std::uint64_t* p, std::size_t n);
-  const char* name;
-};
-
-// Table picked on first use: the AVX2 kernels when the build compiled them
-// in (-DRDT_SIMD=ON) and the CPU reports AVX2, the portable table otherwise.
-const Kernels& active();
-
-// The portable 4x-unrolled table — always available; dispatch fallback and
-// an explicit test target.
-const Kernels& portable_kernels();
-
-// The AVX2 table, or nullptr when the build did not compile it in or the
-// CPU lacks AVX2. Tests use this to cover the SIMD path explicitly instead
-// of trusting whatever active() happened to resolve to.
-const Kernels* simd_kernels();
 
 // Reference kernels: one word per iteration, nothing clever beyond
 // single-word popcount. Also the inlined short-block fast path.
@@ -106,10 +70,9 @@ inline std::size_t first_nonzero(const std::uint64_t* p, std::size_t n) {
 
 }  // namespace scalar
 
-// Default dispatch target: 4x-unrolled word loops (definitions in
-// bit_kernels.cpp). Exposed so the equivalence tests can exercise this
-// implementation even when dispatch selects AVX2.
-namespace portable {
+// The 4x-unrolled long-block loops (definitions in bit_kernels.cpp). Call
+// the public entry points below instead; they pick scalar or these by size.
+namespace detail {
 
 void or_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n);
 bool or_into_changed(std::uint64_t* dst, const std::uint64_t* src,
@@ -120,18 +83,11 @@ std::size_t popcount(const std::uint64_t* p, std::size_t n);
 bool any(const std::uint64_t* p, std::size_t n);
 std::size_t first_nonzero(const std::uint64_t* p, std::size_t n);
 
-}  // namespace portable
-
-namespace detail {
-// Defined in bit_kernels_avx2.cpp; that TU exists only under -DRDT_SIMD=ON,
-// and the dispatcher references this symbol only when RDT_SIMD_AVX2 is
-// defined. Returns nullptr if the TU was somehow built without -mavx2.
-const Kernels* avx2_kernels_impl();
 }  // namespace detail
 
 // Blocks at or under this many words run the scalar loop inline at the call
-// site: per-process bitsets are one word for up to 64 processes, and the
-// dispatch indirection would dominate the work.
+// site: per-process bitsets are one word for up to 64 processes, and an
+// out-of-line call would cost more than the work itself.
 inline constexpr std::size_t kInlineWords = 4;
 
 inline void or_into(std::uint64_t* dst, const std::uint64_t* src,
@@ -140,13 +96,13 @@ inline void or_into(std::uint64_t* dst, const std::uint64_t* src,
     scalar::or_into(dst, src, n);
     return;
   }
-  active().or_into(dst, src, n);
+  detail::or_into(dst, src, n);
 }
 
 inline bool or_into_changed(std::uint64_t* dst, const std::uint64_t* src,
                             std::size_t n) {
   if (n <= kInlineWords) return scalar::or_into_changed(dst, src, n);
-  return active().or_into_changed(dst, src, n);
+  return detail::or_into_changed(dst, src, n);
 }
 
 inline void and_into(std::uint64_t* dst, const std::uint64_t* src,
@@ -155,28 +111,28 @@ inline void and_into(std::uint64_t* dst, const std::uint64_t* src,
     scalar::and_into(dst, src, n);
     return;
   }
-  active().and_into(dst, src, n);
+  detail::and_into(dst, src, n);
 }
 
 inline bool equal(const std::uint64_t* a, const std::uint64_t* b,
                   std::size_t n) {
   if (n <= kInlineWords) return scalar::equal(a, b, n);
-  return active().equal(a, b, n);
+  return detail::equal(a, b, n);
 }
 
 inline std::size_t popcount(const std::uint64_t* p, std::size_t n) {
   if (n <= kInlineWords) return scalar::popcount(p, n);
-  return active().popcount(p, n);
+  return detail::popcount(p, n);
 }
 
 inline bool any(const std::uint64_t* p, std::size_t n) {
   if (n <= kInlineWords) return scalar::any(p, n);
-  return active().any(p, n);
+  return detail::any(p, n);
 }
 
 inline std::size_t first_nonzero(const std::uint64_t* p, std::size_t n) {
   if (n <= kInlineWords) return scalar::first_nonzero(p, n);
-  return active().first_nonzero(p, n);
+  return detail::first_nonzero(p, n);
 }
 
 // Index of the first set bit at or after `from` in a block of `size` bits,

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
+#include <ostream>
 #include <stdexcept>
 
 namespace rdt::json {
@@ -284,5 +285,24 @@ const Value& Value::at(std::string_view key) const {
 }
 
 Value parse(std::string_view text) { return Parser(text).run(); }
+
+void write_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20)
+          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
+             << "0123456789abcdef"[c & 0xf];
+        else
+          os << c;
+    }
+  }
+  os << '"';
+}
 
 }  // namespace rdt::json

@@ -1,10 +1,13 @@
-// A minimal JSON document model and recursive-descent parser.
+// A minimal JSON document model, a recursive-descent parser, and the one
+// string writer.
 //
-// The repo *writes* JSON in two formats (rdt-bench-v1 reports from
-// bench_common.hpp, rdt-trace-v1 chrome traces from obs/session.cpp); this
-// is the reading half: tools/rdt_stats loads either file back, and
-// trace_export_test round-trips the writers through it. It is a DOM, not a
-// streaming parser — the documents involved are reports, not bulk data.
+// The repo *writes* JSON in two formats (rdt-bench-v2 reports from
+// bench_common.hpp, rdt-trace-v1 chrome traces from obs/session.cpp). Both
+// writers escape strings through write_string() below. The parser is the
+// reading half: tools/rdt_stats loads either file back (and the older
+// rdt-bench-v1 reports), and trace_export_test round-trips the writers
+// through it. It is a DOM, not a streaming parser — the documents involved
+// are reports, not bulk data.
 //
 // Scope: full JSON (RFC 8259) input, including string escapes and \uXXXX
 // (decoded to UTF-8). Numbers without fraction/exponent that fit a
@@ -14,6 +17,7 @@
 // offset, like the pattern parser in ccp/pattern_io.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -72,5 +76,10 @@ class Value {
 // Parse one complete JSON document (trailing whitespace allowed, trailing
 // content is an error). Throws std::invalid_argument on malformed input.
 Value parse(std::string_view text);
+
+// Write `s` as a quoted JSON string: `"` and `\` are backslash-escaped,
+// newline and tab become \n and \t, every other byte below 0x20 becomes
+// \u00xx (lowercase hex), and all other bytes pass through unchanged.
+void write_string(std::ostream& os, std::string_view s);
 
 }  // namespace rdt::json

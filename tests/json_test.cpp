@@ -4,6 +4,7 @@
 // tests mirror the fuzz harness's contract: parse or invalid_argument).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -104,6 +105,31 @@ TEST(Json, DeepNestingIsBoundedNotFatal) {
   ok += '1';
   for (int i = 0; i < 100; ++i) ok += ']';
   EXPECT_EQ(parse(ok).as_array().size(), 1u);
+}
+
+// write_string is the one string writer behind bench reports and chrome
+// traces; whatever it writes, parse() must read back byte for byte.
+TEST(Json, WriteStringRoundTripsThroughParse) {
+  std::string all_controls;
+  for (int c = 0x01; c < 0x20; ++c) all_controls += static_cast<char>(c);
+  const std::string cases[] = {"",
+                               "plain",
+                               "quote \" inside",
+                               "back\\slash",
+                               "line\nbreak",
+                               "tab\tstop",
+                               all_controls,
+                               "mixed \"\\\n\t\x01\x1f end",
+                               "A\xc3\xa9"};
+  for (const std::string& s : cases) {
+    std::ostringstream os;
+    write_string(os, s);
+    EXPECT_EQ(parse(os.str()).as_string(), s) << os.str();
+  }
+  // The escapes themselves are pinned: reports and traces stay byte-stable.
+  std::ostringstream os;
+  write_string(os, "\"\\\n\t\x01\x1f");
+  EXPECT_EQ(os.str(), R"("\"\\\n\t\u0001\u001f")");
 }
 
 }  // namespace
