@@ -42,9 +42,9 @@ namespace rdt::bench {
 //   --json PATH   write the rdt-bench-v2 report
 //   --trace PATH  capture an observability session, write a chrome trace
 // — plus whatever experiment-specific flags it reads via flag_or()/has().
-// --seeds and --threads take the whole next token as a positive integer;
-// anything else prints a usage line and throws UsageError, which main()
-// maps to exit code 2, like the CLI tools.
+// A numeric flag takes the whole next token as an integer (--seeds and
+// --threads a positive one); anything else prints a usage line and throws
+// UsageError, which main() maps to exit code 2, like the CLI tools.
 // ---------------------------------------------------------------------------
 
 struct UsageError {};
@@ -59,12 +59,8 @@ class BenchArgs {
     return false;
   }
   int flag_or(const std::string& flag, int fallback) const {
-    const char* v = value_of(flag);
-    return v != nullptr ? std::atoi(v) : fallback;
-  }
-  double flag_or(const std::string& flag, double fallback) const {
-    const char* v = value_of(flag);
-    return v != nullptr ? std::atof(v) : fallback;
+    return int_flag(flag, fallback, std::numeric_limits<int>::min(),
+                    "an integer");
   }
   std::string flag_or(const std::string& flag, std::string fallback) const {
     const char* v = value_of(flag);
@@ -82,6 +78,12 @@ class BenchArgs {
 
  private:
   int positive_flag(const std::string& flag, int fallback) const {
+    return int_flag(flag, fallback, 1, "a positive integer");
+  }
+
+  // The whole token after `flag` as an int of at least `min`.
+  int int_flag(const std::string& flag, int fallback, int min,
+               const char* what) const {
     if (!has(flag)) return fallback;
     const char* v = value_of(flag);
     if (v != nullptr) {
@@ -89,11 +91,11 @@ class BenchArgs {
       const char* const end = token.data() + token.size();
       int value = 0;
       const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-      if (ec == std::errc() && ptr == end && value > 0) return value;
+      if (ec == std::errc() && ptr == end && value >= min) return value;
     }
     const std::string_view argv0(argv_[0]);
     const std::string_view program = argv0.substr(argv0.rfind('/') + 1);
-    std::cerr << program << ": " << flag << " takes a positive integer\n"
+    std::cerr << program << ": " << flag << " takes " << what << "\n"
               << "usage: " << program
               << " [--seeds N] [--threads N] [--json PATH] [--trace PATH]\n";
     throw UsageError{};

@@ -484,7 +484,7 @@ JsonObject soak_metrics(const SoakResult& soak) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
   BenchReport report("longrun", args);
   const long long events =
@@ -601,4 +601,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

@@ -129,7 +129,7 @@ bench::JsonValue to_json(const PercentileSummary& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
   BenchReport report("serve", args);
   const auto total_events = static_cast<std::size_t>(
@@ -308,4 +308,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

@@ -327,7 +327,7 @@ NaiveTimings run_naive(int num_processes, const std::vector<StreamEvent>& ops,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const BenchArgs args = parse_bench_args(argc, argv);
   BenchReport report("stream", args);
   const long long target = args.flag_or("--events", 1000000);
@@ -485,4 +485,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

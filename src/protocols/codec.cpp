@@ -126,6 +126,13 @@ void put_gap(std::size_t pos, std::size_t& next, std::vector<std::uint8_t>& out)
   next = pos + 1;
 }
 
+// The same gap written at `out`; returns one past it.
+std::uint8_t* put_gap(std::size_t pos, std::size_t& next, std::uint8_t* out) {
+  out = varint::put(pos - next, out);
+  next = pos + 1;
+  return out;
+}
+
 // Decodes one strictly-increasing gap-encoded offset list. Calls visit(pos)
 // for each decoded position; positions are guaranteed in [0, limit) and
 // strictly increasing.
@@ -376,6 +383,18 @@ std::size_t PiggybackCodec::encode_delta(std::size_t ch,
                                          std::vector<std::uint8_t>& out) {
   const std::size_t start = out.size();
   const auto n = static_cast<std::size_t>(n_);
+  const std::size_t mask_bytes = plane_bytes(n);
+  // Size the output once for the worst case and write through a pointer.
+  // With n <= 64 every count, gap and row offset is one varint byte, and a
+  // TDV or index increment stays below kMaxPiggybackIndex = 2^30 (5 bytes).
+  std::size_t bound = 0;
+  if (shape_.tdv) bound += 1 + n * 6;
+  if (shape_.simple) bound += 1 + n;
+  if (shape_.causal) bound += 1 + n * (1 + mask_bytes);
+  if (shape_.index) bound += 5;
+  out.resize(start + bound);
+  std::uint8_t* const first = out.data() + start;
+  std::uint8_t* p = first;
   // Each plane: one pass builds the change mask, then a countr_zero walk
   // writes the changes and advances the channel's encoder shadow.
   if (shape_.tdv) {
@@ -384,24 +403,25 @@ std::size_t PiggybackCodec::encode_delta(std::size_t ch,
     std::uint64_t changed = 0;
     for (std::size_t k = 0; k < n; ++k)
       changed |= static_cast<std::uint64_t>(tdv[k] != shadow[k]) << k;
-    varint::put(static_cast<std::uint64_t>(std::popcount(changed)), out);
+    p = varint::put(static_cast<std::uint64_t>(std::popcount(changed)), p);
     std::size_t next = 0;
     for (; changed != 0; changed &= changed - 1) {
       const auto k = static_cast<std::size_t>(std::countr_zero(changed));
       RDT_CHECK(tdv[k] > shadow[k] && tdv[k] < kMaxPiggybackIndex,
                 "tdv entries must grow monotonically per channel");
-      put_gap(k, next, out);
-      varint::put(static_cast<std::uint64_t>(tdv[k] - shadow[k]), out);
+      p = put_gap(k, next, p);
+      p = varint::put(static_cast<std::uint64_t>(tdv[k] - shadow[k]), p);
       shadow[k] = tdv[k];
     }
   }
   if (shape_.simple) {
     std::uint64_t& shadow = enc_.simple[ch];
     std::uint64_t flips = payload.simple.words()[0] ^ shadow;
-    varint::put(static_cast<std::uint64_t>(std::popcount(flips)), out);
+    p = varint::put(static_cast<std::uint64_t>(std::popcount(flips)), p);
     std::size_t next = 0;
     for (; flips != 0; flips &= flips - 1)
-      put_gap(static_cast<std::size_t>(std::countr_zero(flips)), next, out);
+      p = put_gap(static_cast<std::size_t>(std::countr_zero(flips)), next,
+                  p);
     shadow = payload.simple.words()[0];
   }
   if (shape_.causal) {
@@ -410,15 +430,15 @@ std::size_t PiggybackCodec::encode_delta(std::size_t ch,
     std::uint64_t changed = 0;
     for (std::size_t r = 0; r < n; ++r)
       changed |= static_cast<std::uint64_t>(rows[r] != shadow[r]) << r;
-    varint::put(static_cast<std::uint64_t>(std::popcount(changed)), out);
+    p = varint::put(static_cast<std::uint64_t>(std::popcount(changed)), p);
     std::size_t next = 0;
     for (; changed != 0; changed &= changed - 1) {
       const auto r = static_cast<std::size_t>(std::countr_zero(changed));
-      put_gap(r, next, out);
+      p = put_gap(r, next, p);
       // XOR mask, byte-aligned like a flat causal row.
       const std::uint64_t mask = rows[r] ^ shadow[r];
-      for (std::size_t b = 0; b < plane_bytes(n); ++b)
-        out.push_back(static_cast<std::uint8_t>(mask >> (8 * b)));
+      for (std::size_t b = 0; b < mask_bytes; ++b)
+        *p++ = static_cast<std::uint8_t>(mask >> (8 * b));
       shadow[r] = rows[r];
     }
   }
@@ -426,10 +446,13 @@ std::size_t PiggybackCodec::encode_delta(std::size_t ch,
     CkptIndex& shadow = enc_.index[ch];
     RDT_CHECK(payload.index >= shadow && payload.index < kMaxPiggybackIndex,
               "the scalar index must grow monotonically per channel");
-    varint::put(static_cast<std::uint64_t>(payload.index - shadow), out);
+    p = varint::put(static_cast<std::uint64_t>(payload.index - shadow), p);
     shadow = payload.index;
   }
-  return out.size() - start;
+  const auto written = static_cast<std::size_t>(p - first);
+  RDT_ASSERT(written <= bound);
+  out.resize(start + written);
+  return written;
 }
 
 std::size_t PiggybackCodec::decode_delta(std::size_t ch,

@@ -98,7 +98,11 @@ class PiggybackCodec {
   // Appends the encoding of one payload travelling src -> dest and returns
   // the number of bytes appended. The payload's planes must match the
   // codec's shape. For the delta codec this advances the channel's encoder
-  // shadow, so payloads must be encoded in channel send order.
+  // shadow, so payloads must be encoded in channel send order. A payload
+  // that breaks the encoder's contract (a shape mismatch, a value past
+  // kMaxPiggybackIndex, a delta TDV entry or index that moved backwards)
+  // throws contract_violation and leaves `out`'s appended tail and the
+  // channel's encoder shadow unspecified.
   std::size_t encode(ProcessId src, ProcessId dest, const PiggybackView& payload,
                      std::vector<std::uint8_t>& out);
 

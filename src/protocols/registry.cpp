@@ -98,7 +98,7 @@ ProtocolInfo describe(ProtocolKind kind) {
               .checkpoint_after_send = false,
               .predicates = {ForceReason::kC1},
               .shape = {.tdv = true, .causal = true},
-              .codec = PiggybackCodecKind::kSparse};
+              .codec = PiggybackCodecKind::kDelta};
     case ProtocolKind::kBcs:
       return {.kind = kind,
               .id = to_string(kind),

@@ -4,7 +4,11 @@
 // malformed inputs.
 //
 // Contract (mirrors the serve wire format that first grew these helpers):
-//  * `put` appends the canonical little-endian base-128 encoding.
+//  * `put(v, std::uint8_t*)` is the one writer: it stores the canonical
+//    little-endian base-128 encoding at the pointer (room for kMaxBytes
+//    is the caller's job) and returns one past its last byte. The vector
+//    `put` appends through it (a value below 0x80, its own one-byte
+//    encoding, inline), so every layer emits the same bytes.
 //  * `get` decodes bounded to `end`, throwing std::invalid_argument on
 //    truncation, on encodings longer than 10 bytes, on 10-byte encodings
 //    whose final byte overflows 64 bits, and on non-minimal encodings (a
@@ -15,8 +19,8 @@
 //    need offset-untouched-on-throw for a composite parse snapshot it
 //    before the parse and restore in their catch).
 //
-// The one-byte case of both directions is inline; longer encodings and
-// every rejection take the out-of-line slow path.
+// The one-byte case of `get` and of the appending `put` is inline; longer
+// encodings and every rejection take the out-of-line slow path.
 #pragma once
 
 #include <cstddef>
@@ -36,16 +40,30 @@ namespace rdt::varint {
   throw std::invalid_argument(os.str());
 }
 
-// The multi-byte half of put().
-[[gnu::noinline]] inline void put_slow(std::uint64_t v,
-                                       std::vector<std::uint8_t>& out) {
+// The longest encoding of a 64-bit value.
+inline constexpr std::size_t kMaxBytes = 10;
+
+inline std::uint8_t* put(std::uint64_t v, std::uint8_t* out) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
+    *out++ = static_cast<std::uint8_t>(v) | 0x80u;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
 }
 
+// The multi-byte half of the appending put().
+[[gnu::noinline]] inline void put_slow(std::uint64_t v,
+                                       std::vector<std::uint8_t>& out) {
+  std::uint8_t buf[kMaxBytes] = {};
+  const std::uint8_t* const end = put(v, buf);
+  for (const std::uint8_t* b = buf; b != end; ++b) out.push_back(*b);
+}
+
+// Appends through the pointer writer. A value below 0x80 is its own
+// one-byte encoding and is pushed inline: most of what the frame encoder
+// appends is such values, and a buffer round trip for each costs it over
+// half again its time.
 inline void put(std::uint64_t v, std::vector<std::uint8_t>& out) {
   if (v < 0x80) {
     out.push_back(static_cast<std::uint8_t>(v));

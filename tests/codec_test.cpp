@@ -237,6 +237,38 @@ TEST(PiggybackCodecDelta, NonMonotoneTdvIsEncoderContractViolation) {
   EXPECT_THROW(codec.encode(0, 1, pb, wire), contract_violation);
 }
 
+// The delta encoder sizes its output once per payload: 1 + 6n bytes for
+// the TDV (count, then a one-byte gap and an up-to-5-byte increment per
+// entry), 1 + n for the simple flips, 1 + n(1 + ceil(n/8)) for the causal
+// rows and 5 for the index increment. The worst case fills every plane at
+// once and must land exactly on that bound, after the bytes already in the
+// buffer, and decode back.
+TEST(PiggybackCodecDelta, WorstCasePayloadFillsTheBound) {
+  for (const int n : {1, 2, 63, 64}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto un = static_cast<std::size_t>(n);
+    PiggybackCodec codec(PiggybackCodecKind::kDelta, n, kFullShape);
+    PayloadArena arena = slots(n);
+    const PiggybackSlot pb = arena.slot(0);
+    for (std::size_t k = 0; k < un; ++k) {
+      pb.tdv[k] = kMaxPiggybackIndex - 1;
+      pb.simple.set(k);
+      for (std::size_t c = 0; c < un; ++c) pb.causal.set(k, c);
+    }
+    *pb.index = kMaxPiggybackIndex - 1;
+    const ProcessId dest = n - 1;
+    std::vector<std::uint8_t> wire = {0xAB};
+    const std::size_t len = codec.encode(0, dest, arena.view(0), wire);
+    EXPECT_EQ(len, (1 + 6 * un) + (1 + un) + (1 + un * (1 + (un + 7) / 8)) + 5);
+    ASSERT_EQ(wire.size(), 1 + len);
+    EXPECT_EQ(wire[0], 0xAB);
+    std::size_t offset = 1;
+    codec.decode(0, dest, wire, offset, arena.slot(1));
+    EXPECT_EQ(offset, wire.size());
+    EXPECT_TRUE(payloads_equal(arena.view(0), arena.view(1)));
+  }
+}
+
 // --- the rejection contract: invalid_argument, offset untouched ---------
 
 void expect_rejected(PiggybackCodec& codec, std::vector<std::uint8_t> wire,

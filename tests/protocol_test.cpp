@@ -139,8 +139,9 @@ TEST(Piggyback, MeasuredWireBitsPerProtocol) {
   // rows (count + 5 x (row gap + 1-byte XOR mask) = 11 bytes): 16 bytes.
   EXPECT_EQ(bits(ProtocolKind::kBhmr), 128u);
   EXPECT_EQ(bits(ProtocolKind::kBhmrNoSimple), 112u);
-  // Sparse: five TDV varints plus an empty causal offset list = 6 bytes.
-  EXPECT_EQ(bits(ProtocolKind::kBhmrC1Only), 48u);
+  // Delta TDV (3 bytes as above) plus an empty changed-row count for the
+  // causal matrix, whose diagonal stays false: 4 bytes.
+  EXPECT_EQ(bits(ProtocolKind::kBhmrC1Only), 32u);
   // Sparse scalar index: a single varint.
   EXPECT_EQ(bits(ProtocolKind::kBcs), 8u);
   EXPECT_EQ(bits(ProtocolKind::kAdaptive), bits(ProtocolKind::kBhmr));
@@ -163,7 +164,7 @@ TEST(PiggybackBits, FirstMessageGolden) {
       {ProtocolKind::kFdas, {24, 24, 24, 520, 1024}, {64, 160, 2048, 2080, 4096}},
       {ProtocolKind::kBhmr, {80, 128, 4656, 1064, 3096}, {70, 190, 6208, 6370, 20608}},
       {ProtocolKind::kBhmrNoSimple, {64, 112, 4640, 1048, 3080}, {68, 185, 6144, 6305, 20480}},
-      {ProtocolKind::kBhmrC1Only, {24, 48, 520, 528, 1032}, {68, 185, 6144, 6305, 20480}},
+      {ProtocolKind::kBhmrC1Only, {32, 32, 32, 528, 1032}, {68, 185, 6144, 6305, 20480}},
       {ProtocolKind::kBcs, {8, 8, 8, 8, 8}, {32, 32, 32, 32, 32}},
       {ProtocolKind::kAdaptive, {80, 128, 4656, 1064, 3096}, {70, 190, 6208, 6370, 20608}},
   };
