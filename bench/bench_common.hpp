@@ -1,9 +1,9 @@
 // Shared plumbing for the experiment binaries: the protocol set the papers'
 // simulation study compares, the standard environment presets, command-line
-// parsing (parse_bench_args — every binary understands --seeds/--threads/
-// --json/--trace the same way), header banners, a formatter for mean ± 95%
-// confidence cells, and a machine-readable benchmark report (--json) with an
-// optional chrome://tracing span capture (--trace).
+// parsing (BenchArgs over each binary's declared flag table), header
+// banners, a formatter for mean ± 95% confidence cells, and a
+// machine-readable benchmark report (--json) with an optional
+// chrome://tracing span capture (--trace).
 #pragma once
 
 #include <charconv>
@@ -17,7 +17,9 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -36,35 +38,65 @@
 namespace rdt::bench {
 
 // ---------------------------------------------------------------------------
-// Command line. Every experiment binary accepts the same core flags —
-//   --seeds N     sweep width (each binary picks its own default)
-//   --threads N   worker threads (defaults to the hardware concurrency)
+// Command line. Each experiment binary declares the flags it reads, as a
+// table of BenchFlag, and builds its BenchArgs from that table; its usage
+// line lists exactly those flags, then the two report flags every binary
+// reads through BenchReport:
 //   --json PATH   write the rdt-bench-v2 report
 //   --trace PATH  capture an observability session, write a chrome trace
-// — plus whatever experiment-specific flags it reads via flag_or()/has().
-// A numeric flag takes the whole next token as an integer (--seeds and
-// --threads a positive one); anything else prints a usage line and throws
+// The common core flags are --seeds N (sweep width; each binary picks its
+// own default) and --threads N (worker threads; defaults to the hardware
+// concurrency). A numeric flag takes the whole next token as an integer
+// (--seeds and --threads a positive one, a list flag comma-separated
+// positive ones); anything else prints the usage line and throws
 // UsageError, which main() maps to exit code 2, like the CLI tools.
+// Reading a flag the table does not declare is a bug in the binary and
+// throws std::logic_error.
 // ---------------------------------------------------------------------------
 
 struct UsageError {};
 
+// One flag a binary reads, as its usage line shows it.
+struct BenchFlag {
+  std::string_view name;   // "--events"
+  std::string_view value;  // "N", "PATH", "LIST"
+};
+
 class BenchArgs {
  public:
-  BenchArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
+  BenchArgs(int argc, char** argv, std::span<const BenchFlag> flags)
+      : argc_(argc), argv_(argv), flags_(flags) {}
 
-  bool has(const std::string& flag) const {
+  bool has(std::string_view flag) const {
+    declared(flag);
     for (int i = 1; i < argc_; ++i)
       if (argv_[i] == flag) return true;
     return false;
   }
-  int flag_or(const std::string& flag, int fallback) const {
+  int flag_or(std::string_view flag, int fallback) const {
     return int_flag(flag, fallback, std::numeric_limits<int>::min(),
                     "an integer");
   }
-  std::string flag_or(const std::string& flag, std::string fallback) const {
+  std::string flag_or(std::string_view flag, std::string fallback) const {
     const char* v = value_of(flag);
     return v != nullptr ? std::string(v) : std::move(fallback);
+  }
+  // A comma-separated list of positive integers, such as "1,2,4".
+  std::vector<int> positive_list(std::string_view flag,
+                                 std::vector<int> fallback) const {
+    if (!has(flag)) return fallback;
+    const char* v = value_of(flag);
+    std::string_view rest = v != nullptr ? v : "";
+    std::vector<int> out;
+    for (;;) {
+      const std::size_t comma = rest.find(',');
+      int value = 0;
+      if (v == nullptr || !whole_int(rest.substr(0, comma), 1, value))
+        usage_error(flag, "a comma-separated list of positive integers");
+      out.push_back(value);
+      if (comma == std::string_view::npos) return out;
+      rest.remove_prefix(comma + 1);
+    }
   }
 
   int seeds(int fallback) const { return positive_flag("--seeds", fallback); }
@@ -77,31 +109,47 @@ class BenchArgs {
   std::string trace_path() const { return flag_or("--trace", std::string()); }
 
  private:
-  int positive_flag(const std::string& flag, int fallback) const {
+  int positive_flag(std::string_view flag, int fallback) const {
     return int_flag(flag, fallback, 1, "a positive integer");
   }
 
   // The whole token after `flag` as an int of at least `min`.
-  int int_flag(const std::string& flag, int fallback, int min,
+  int int_flag(std::string_view flag, int fallback, int min,
                const char* what) const {
     if (!has(flag)) return fallback;
     const char* v = value_of(flag);
-    if (v != nullptr) {
-      const std::string_view token(v);
-      const char* const end = token.data() + token.size();
-      int value = 0;
-      const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-      if (ec == std::errc() && ptr == end && value >= min) return value;
-    }
+    int value = 0;
+    if (v != nullptr && whole_int(v, min, value)) return value;
+    usage_error(flag, what);
+  }
+
+  static bool whole_int(std::string_view token, int min, int& value) {
+    const char* const end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    return ec == std::errc() && ptr == end && value >= min;
+  }
+
+  [[noreturn]] void usage_error(std::string_view flag, const char* what) const {
     const std::string_view argv0(argv_[0]);
     const std::string_view program = argv0.substr(argv0.rfind('/') + 1);
     std::cerr << program << ": " << flag << " takes " << what << "\n"
-              << "usage: " << program
-              << " [--seeds N] [--threads N] [--json PATH] [--trace PATH]\n";
+              << "usage: " << program;
+    for (const BenchFlag& f : flags_)
+      std::cerr << " [" << f.name << ' ' << f.value << ']';
+    std::cerr << " [--json PATH] [--trace PATH]\n";
     throw UsageError{};
   }
 
-  const char* value_of(const std::string& flag) const {
+  void declared(std::string_view flag) const {
+    if (flag == "--json" || flag == "--trace") return;
+    for (const BenchFlag& f : flags_)
+      if (f.name == flag) return;
+    throw std::logic_error("bench: reads " + std::string(flag) +
+                           ", which its flag table does not declare");
+  }
+
+  const char* value_of(std::string_view flag) const {
+    declared(flag);
     for (int i = 1; i + 1 < argc_; ++i)
       if (argv_[i] == flag) return argv_[i + 1];
     return nullptr;
@@ -109,11 +157,8 @@ class BenchArgs {
 
   int argc_;
   char** argv_;
+  std::span<const BenchFlag> flags_;
 };
-
-inline BenchArgs parse_bench_args(int argc, char** argv) {
-  return {argc, argv};
-}
 
 // ---------------------------------------------------------------------------
 // Standard environments. The study's canonical operating points (duration
@@ -335,7 +380,7 @@ class BenchReport {
     session_ = std::make_unique<obs::ObsSession>();
   }
   BenchReport(std::string experiment, int argc, char** argv)
-      : BenchReport(std::move(experiment), BenchArgs(argc, argv)) {}
+      : BenchReport(std::move(experiment), BenchArgs(argc, argv, {})) {}
   BenchReport(const BenchReport&) = delete;
   BenchReport& operator=(const BenchReport&) = delete;
   ~BenchReport() { finish(); }

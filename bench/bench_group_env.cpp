@@ -72,7 +72,8 @@ void sweep_group_count(BenchReport& report, int seeds, int threads) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {{"--seeds", "N"}, {"--threads", "N"}};
+  const BenchArgs args(argc, argv, kFlags);
   const int seeds = args.seeds(10);
   const int threads = args.threads();
   BenchReport report("group_env", args);

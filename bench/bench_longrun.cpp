@@ -485,7 +485,11 @@ JsonObject soak_metrics(const SoakResult& soak) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {
+      {"--events", "N"},     {"--procs", "N"},         {"--batch", "N"},
+      {"--ckpt-every", "N"}, {"--inflight", "N"},      {"--compact-every", "N"},
+      {"--eq-events", "N"},  {"--seed", "N"}};
+  const BenchArgs args(argc, argv, kFlags);
   BenchReport report("longrun", args);
   const long long events =
       std::max(10LL, static_cast<long long>(args.flag_or("--events", 8000000)));

@@ -5,8 +5,9 @@
 //    + merge) for each protocol as n grows — the price of the O(n^2)
 //    control structures;
 //  * the protocol study's replay loop (counters only, each protocol through
-//    its declared wire codec, a warm PayloadArena) and the codec roundtrip
-//    inside it: encode and decode of recorded BHMR payloads per codec;
+//    its declared wire codec, a warm PayloadArena), the encode inside it,
+//    and the decode a receiver runs: each half over recorded BHMR payloads
+//    per codec;
 //  * pattern analyses: TDV replay, chain analysis, R-graph closure, full
 //    RDT report;
 //  * the batch oracle's stages at the protocol study's operating point

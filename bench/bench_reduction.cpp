@@ -68,7 +68,8 @@ std::vector<EnvCase> environments() {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {{"--seeds", "N"}, {"--threads", "N"}};
+  const BenchArgs args(argc, argv, kFlags);
   const int seeds = args.seeds(12);
   const int threads = args.threads();
   BenchReport report("reduction", args);

@@ -25,7 +25,9 @@
 // (exit 1) — throughput numbers from a wrong-answer server are worthless.
 //
 // Usage: bench_serve [--events N] [--batch N] [--clients N]
-//                    [--shards CSV] [--sessions CSV] [--json <path>]
+//                    [--shards LIST] [--sessions LIST] [--json <path>]
+//                    [--trace <path>]
+// LIST is comma-separated positive integers, such as 1,2,4.
 #include <cstddef>
 #include <iostream>
 #include <span>
@@ -108,16 +110,6 @@ bool matches_reference(const serve::DriverReport& r, const Reference& ref,
          r.delivered_messages == ref.messages * sessions;
 }
 
-std::vector<int> parse_csv(const std::string& csv,
-                           const std::vector<int>& fallback) {
-  if (csv.empty()) return fallback;
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  for (std::string part; std::getline(ss, part, ',');)
-    out.push_back(std::max(1, std::atoi(part.c_str())));
-  return out.empty() ? fallback : out;
-}
-
 bench::JsonValue to_json(const PercentileSummary& s) {
   return bench::JsonObject{{"count", static_cast<long long>(s.count)},
                            {"p50", s.p50},
@@ -130,7 +122,10 @@ bench::JsonValue to_json(const PercentileSummary& s) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {{"--events", "N"},   {"--batch", "N"},
+                                  {"--clients", "N"},  {"--shards", "LIST"},
+                                  {"--sessions", "LIST"}};
+  const BenchArgs args(argc, argv, kFlags);
   BenchReport report("serve", args);
   const auto total_events = static_cast<std::size_t>(
       std::max(1, args.flag_or("--events", 1000000)));
@@ -138,9 +133,9 @@ int main(int argc, char** argv) try {
       std::max(1, args.flag_or("--batch", 64)));
   const int clients = std::max(1, args.flag_or("--clients", 2));
   const std::vector<int> shard_counts =
-      parse_csv(args.flag_or("--shards", std::string()), {1, 2, 4, 8});
+      args.positive_list("--shards", {1, 2, 4, 8});
   const std::vector<int> session_counts =
-      parse_csv(args.flag_or("--sessions", std::string()), {16, 256, 4096});
+      args.positive_list("--sessions", {16, 256, 4096});
   const int num_processes = random_env_preset().num_processes;
   const int cores =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));

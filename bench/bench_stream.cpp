@@ -328,7 +328,8 @@ NaiveTimings run_naive(int num_processes, const std::vector<StreamEvent>& ops,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {{"--events", "N"}, {"--batch", "N"}};
+  const BenchArgs args(argc, argv, kFlags);
   BenchReport report("stream", args);
   const long long target = args.flag_or("--events", 1000000);
   const std::size_t batch = static_cast<std::size_t>(

@@ -23,7 +23,8 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {{"--seeds", "N"}, {"--threads", "N"}};
+  const BenchArgs args(argc, argv, kFlags);
   const int seeds = args.seeds(20);
   const int threads = args.threads();
   BenchReport report("sweep", args);

@@ -88,7 +88,8 @@ EquivalenceRow check_equivalence(const Trace& trace, ProtocolKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  constexpr BenchFlag kFlags[] = {{"--seeds", "N"}, {"--threads", "N"}};
+  const BenchArgs args(argc, argv, kFlags);
   const int seeds = args.seeds(20);
   const int threads = args.threads();
   BenchReport report("wire", args);

@@ -6,7 +6,8 @@
 // turns one outgoing payload into bytes, `decode` reconstructs the exact
 // planes on the receiving side. Codecs change representation, never
 // semantics — a decoded payload is bit-identical to the encoded one, and
-// the replay engine cross-checks that under RDT_AUDITS.
+// the replay engine decodes every payload back to check that under
+// RDT_AUDITS.
 //
 // Three encodings, ordered by cleverness:
 //
@@ -152,8 +153,9 @@ class PiggybackCodec {
   std::size_t row_words_ = 0;
 
   // Delta-codec shadows. Encoder and decoder sides are independent so one
-  // codec instance can drive both halves of a simulated channel (replay
-  // encodes at the sender and immediately decodes at the network edge).
+  // codec instance can drive both halves of a simulated channel: tests
+  // encode and decode through one codec, and an audited replay decodes
+  // each payload it encodes (a plain replay only encodes).
   ChannelPlanes enc_;
   ChannelPlanes dec_;
 };

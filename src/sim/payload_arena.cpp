@@ -1,6 +1,8 @@
 #include "sim/payload_arena.hpp"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -26,18 +28,16 @@ void PayloadArena::reset(int num_processes, PayloadShape shape,
   shape_ = shape;
   row_words_ = bitdetail::words_for(static_cast<std::size_t>(num_processes));
   capacity_ = num_messages;
+  // Row capacity_ is the audit decode-back scratch.
+  const std::size_t rows = num_messages + (kAuditsEnabled ? 1 : 0);
   const auto n = static_cast<std::size_t>(num_processes);
-  if (shape.tdv) ensure_size(tdv_plane_, n * num_messages);
-  if (shape.simple) ensure_size(simple_plane_, row_words_ * num_messages);
-  if (shape.causal) ensure_size(causal_plane_, n * row_words_ * num_messages);
-  if (shape.index) ensure_size(index_plane_, num_messages);
-  if (shape.tdv) ensure_size(staging_tdv_, n);
-  if (shape.simple) ensure_size(staging_simple_, row_words_);
-  if (shape.causal) ensure_size(staging_causal_, n * row_words_);
+  if (shape.tdv) ensure_size(tdv_plane_, n * rows);
+  if (shape.simple) ensure_size(simple_plane_, row_words_ * rows);
+  if (shape.causal) ensure_size(causal_plane_, n * row_words_ * rows);
+  if (shape.index) ensure_size(index_plane_, rows);
 }
 
-PiggybackSlot PayloadArena::slot(MsgId m) {
-  const std::size_t i = check(m);
+PiggybackSlot PayloadArena::row(std::size_t i) {
   const auto n = static_cast<std::size_t>(n_);
   PiggybackSlot s;
   if (shape_.tdv) s.tdv = {tdv_plane_.data() + i * n, n};
@@ -48,8 +48,7 @@ PiggybackSlot PayloadArena::slot(MsgId m) {
   return s;
 }
 
-PiggybackView PayloadArena::view(MsgId m) const {
-  const std::size_t i = check(m);
+PiggybackView PayloadArena::row_view(std::size_t i) const {
   const auto n = static_cast<std::size_t>(n_);
   PiggybackView v;
   if (shape_.tdv) v.tdv = {tdv_plane_.data() + i * n, n};
@@ -60,59 +59,45 @@ PiggybackView PayloadArena::view(MsgId m) const {
   return v;
 }
 
-PiggybackSlot PayloadArena::send_slot(MsgId m) {
-  check(m);
-  const auto n = static_cast<std::size_t>(n_);
-  PiggybackSlot s;
-  if (shape_.tdv) s.tdv = {staging_tdv_.data(), n};
-  if (shape_.simple) s.simple = {staging_simple_.data(), n};
-  if (shape_.causal) s.causal = {staging_causal_.data(), n, n};
-  if (shape_.index) s.index = &staging_index_;
-  return s;
-}
-
-PiggybackView PayloadArena::staging_view() const {
-  const auto n = static_cast<std::size_t>(n_);
-  PiggybackView v;
-  if (shape_.tdv) v.tdv = {staging_tdv_.data(), n};
-  if (shape_.simple) v.simple = {staging_simple_.data(), n};
-  if (shape_.causal) v.causal = {staging_causal_.data(), n, n};
-  if (shape_.index) v.index = staging_index_;
-  return v;
-}
-
 std::size_t PayloadArena::commit_send(MsgId m, ProcessId src, ProcessId dest) {
   encode_buf_.clear();  // capacity retained — no steady-state allocation
-  const PiggybackView staged = staging_view();
-  const std::size_t bytes = wire_.encode(src, dest, staged, encode_buf_);
-  std::size_t offset = 0;
-  wire_.decode(src, dest, encode_buf_, offset, slot(m));
-  RDT_CHECK(offset == encode_buf_.size(),
-            "piggyback decode consumed a different byte count than encode "
-            "produced");
-  // The decode-back cross-check: the planes that came out of the wire must
-  // be bit-identical to the planes that went in.
+  const PiggybackView sent = view(m);
+  const std::size_t bytes = wire_.encode(src, dest, sent, encode_buf_);
+  if constexpr (kAuditsEnabled)
+    audit_decode_back(wire_, src, dest, encode_buf_, sent, row(capacity_));
+  return bytes * 8;
+}
+
+void audit_decode_back(PiggybackCodec& codec, ProcessId src, ProcessId dest,
+                       std::span<const std::uint8_t> bytes,
+                       const PiggybackView& sent, const PiggybackSlot& scratch) {
   if constexpr (kAuditsEnabled) {
-    const PiggybackView decoded = view(m);
-    if (shape_.tdv)
-      RDT_AUDIT(std::memcmp(decoded.tdv.data(), staged.tdv.data(),
-                            staged.tdv.size() * sizeof(CkptIndex)) == 0,
-                "wire codec roundtrip changed the TDV plane");
-    if (shape_.simple)
-      RDT_AUDIT(std::memcmp(decoded.simple.words(), staged.simple.words(),
-                            decoded.simple.num_words() *
-                                sizeof(std::uint64_t)) == 0,
-                "wire codec roundtrip changed the simple plane");
-    if (shape_.causal)
-      RDT_AUDIT(std::memcmp(decoded.causal.row(0).words(),
-                            staged.causal.row(0).words(),
-                            decoded.causal.rows() * decoded.causal.row_words() *
-                                sizeof(std::uint64_t)) == 0,
-                "wire codec roundtrip changed the causal plane");
-    RDT_AUDIT(decoded.index == staged.index,
+    std::size_t offset = 0;
+    try {
+      codec.decode(src, dest, bytes, offset, scratch);
+    } catch (const std::invalid_argument& e) {
+      RDT_AUDIT(false, std::string("wire codec cannot decode its own bytes: ") +
+                           e.what());
+    }
+    RDT_AUDIT(offset == bytes.size(),
+              "piggyback decode consumed a different byte count than encode "
+              "produced");
+    const auto same = [](const auto* a, const auto* b, std::size_t count) {
+      return count == 0 || std::memcmp(a, b, count * sizeof(*a)) == 0;
+    };
+    RDT_AUDIT(same(scratch.tdv.data(), sent.tdv.data(), sent.tdv.size()),
+              "wire codec roundtrip changed the TDV plane");
+    RDT_AUDIT(same(scratch.simple.words(), sent.simple.words(),
+                   sent.simple.num_words()),
+              "wire codec roundtrip changed the simple plane");
+    RDT_AUDIT(sent.causal.rows() == 0 ||
+                  same(scratch.causal.row(0).words(), sent.causal.row(0).words(),
+                       sent.causal.rows() * sent.causal.row_words()),
+              "wire codec roundtrip changed the causal plane");
+    RDT_AUDIT((scratch.index == nullptr ? PiggybackView::kNoIndex
+                                        : *scratch.index) == sent.index,
               "wire codec roundtrip changed the scalar index");
   }
-  return bytes * 8;
 }
 
 }  // namespace rdt

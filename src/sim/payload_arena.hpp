@@ -12,16 +12,16 @@
 // more capacity, so sweeping many seeds through one arena reaches a steady
 // state with zero per-message heap allocations.
 //
-// Every send goes through a PiggybackCodec, the real encode/decode path:
-// send_slot(m) hands out a one-message staging slot for the protocol to
-// fill; commit_send(m, src, dest) encodes the staged payload with the
-// codec, decodes the bytes back into message m's arena planes (what
-// view(m) serves at delivery), and returns the measured wire bits. The
-// codec scratch — per-channel delta shadows, the encode buffer, the
-// staging planes — obeys the same grow-only, zero-steady-state-allocation
-// discipline as the planes. Under RDT_AUDITS every commit cross-checks the
-// decoded planes against the staged originals bit for bit: codecs change
-// representation, never semantics.
+// Every send is measured through a PiggybackCodec: the protocol fills
+// slot(m) directly, and commit_send(m, src, dest) encodes view(m) with the
+// codec and returns the encoded wire bits. The delivery reads the same
+// planes the sender wrote; nothing is decoded. The codec scratch — the
+// per-channel delta shadows and the encode buffer — obeys the same
+// grow-only, zero-steady-state-allocation discipline as the planes. Under
+// RDT_AUDITS every commit decodes the bytes back into one extra plane row
+// and requires them to reproduce view(m) bit for bit (audit_decode_back):
+// codecs change representation, never semantics. Other builds carve no
+// such row.
 //
 // Slots are handed out uncleaned: the sending protocol fully overwrites
 // every present field (the fill_payload contract), and a trace's delivery
@@ -52,16 +52,13 @@ class PayloadArena {
 
   std::size_t capacity() const { return capacity_; }
 
-  PiggybackSlot slot(MsgId m);
-  PiggybackView view(MsgId m) const;
+  PiggybackSlot slot(MsgId m) { return row(check(m)); }
+  PiggybackView view(MsgId m) const { return row_view(check(m)); }
 
-  // Where on_send() writes for message m: the staging planes, which
-  // commit_send() then moves through the wire encoding into m's planes.
-  PiggybackSlot send_slot(MsgId m);
-  // Encode the staged payload for channel src -> dest, decode it into
-  // message m's planes, and return the encoded size in bits. Must be
-  // called exactly once per send_slot(), in trace send order (the delta
-  // codec's shadows advance per channel).
+  // Encode message m's planes for channel src -> dest and return the
+  // encoded size in bits. Call once per send, after the protocol filled
+  // slot(m), in trace send order (the delta codec's shadows advance per
+  // channel).
   std::size_t commit_send(MsgId m, ProcessId src, ProcessId dest);
   // The bytes the last commit_send() encoded; valid until the next one.
   std::span<const std::uint8_t> last_encoded() const { return encode_buf_; }
@@ -72,24 +69,29 @@ class PayloadArena {
                 "message id outside the arena");
     return static_cast<std::size_t>(m);
   }
-  PiggybackView staging_view() const;
+  PiggybackSlot row(std::size_t i);
+  PiggybackView row_view(std::size_t i) const;
 
   int n_ = 0;
   PayloadShape shape_{};
   std::size_t row_words_ = 0;  // words per n-bit row
-  std::size_t capacity_ = 0;   // messages
-  std::vector<CkptIndex> tdv_plane_;         // n * capacity
-  std::vector<std::uint64_t> simple_plane_;  // row_words * capacity
-  std::vector<std::uint64_t> causal_plane_;  // n * row_words * capacity
-  std::vector<CkptIndex> index_plane_;       // capacity
+  std::size_t capacity_ = 0;   // messages; audit builds carve one more row
+  std::vector<CkptIndex> tdv_plane_;         // n * rows
+  std::vector<std::uint64_t> simple_plane_;  // row_words * rows
+  std::vector<std::uint64_t> causal_plane_;  // n * row_words * rows
+  std::vector<CkptIndex> index_plane_;       // rows
 
-  // Wire-codec scratch (all grow-only).
   PiggybackCodec wire_;
-  std::vector<CkptIndex> staging_tdv_;          // n
-  std::vector<std::uint64_t> staging_simple_;   // row_words
-  std::vector<std::uint64_t> staging_causal_;   // n * row_words
-  CkptIndex staging_index_ = 0;
-  std::vector<std::uint8_t> encode_buf_;
+  std::vector<std::uint8_t> encode_buf_;  // grow-only
 };
+
+// The audit builds' decode-back check on one encoded payload: decodes
+// `bytes` (travelling src -> dest) with `codec` into `scratch` and throws
+// audit_failure unless the decode consumes exactly `bytes` and the decoded
+// planes equal `sent` bit for bit. `scratch` must be shaped like `sent`.
+// The check compiles to a no-op without RDT_AUDITS.
+void audit_decode_back(PiggybackCodec& codec, ProcessId src, ProcessId dest,
+                       std::span<const std::uint8_t> bytes,
+                       const PiggybackView& sent, const PiggybackSlot& scratch);
 
 }  // namespace rdt

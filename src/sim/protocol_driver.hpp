@@ -1,10 +1,10 @@
 // ProtocolDriver — the paper's protocol rule (Figure 6), one event at a time.
 //
-// Owns one CicProtocol instance per process. At a send the sender's payload
-// is captured and carried through the PayloadArena's wire codec; at a
-// delivery the receiver decides on a forced checkpoint *before* merging the
-// decoded payload. replay() drives it from trace ops (and through replay,
-// the DES), serve::build_piggyback_sections from StreamEvents, the protocol
+// Owns one CicProtocol instance per process. At a send the sender fills the
+// message's PayloadArena slot, which the arena's codec encodes; at a
+// delivery the receiver decides on a forced checkpoint *before* merging
+// that payload. replay() drives it from trace ops (and through replay, the
+// DES), serve::build_piggyback_sections from StreamEvents, the protocol
 // tests by hand and piggyback_bits() for one message, so forced decisions,
 // per-predicate counters and wire bytes cannot drift between them. The
 // steps are inline: they are replay's hot loop body.
@@ -39,13 +39,13 @@ class ProtocolDriver {
     }
   }
 
-  // Message m from -> to: capture, encode and decode into m's planes (the
-  // bytes stay readable through PayloadArena::last_encoded()), then the
+  // Message m from -> to: capture into m's slot and encode it (the bytes
+  // stay readable through PayloadArena::last_encoded()), then the
   // checkpoint-after-send decision. Returns true when it forced one. Sends
   // come in stream order (the delta codec's channel shadows).
   bool send(ProcessId from, ProcessId to, MsgId m) {
     CicProtocol& self = at(from);
-    self.on_send(to, arena_->send_slot(m));
+    self.on_send(to, arena_->slot(m));
     wire_bits_total_ += arena_->commit_send(m, from, to);
     if (!self.checkpoint_after_send()) return false;
     force(self, ForceReason::kCheckpointAfterSend);

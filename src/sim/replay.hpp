@@ -10,11 +10,12 @@
 // application behaviour, replaying different protocols over the same trace
 // yields directly comparable forced-checkpoint counts.
 //
-// Every send travels through a PiggybackCodec: the sender's payload is
-// encoded, decoded back into the PayloadArena, and the delivery reads the
-// decoded planes, so ReplayResult::wire_bits_total is always measured.
-// Codecs never change analysis results (cross-checked per message under
-// RDT_AUDITS). Two knobs set what a replay costs (see docs/benchmarks.md):
+// Every send is encoded with a PiggybackCodec: the sender writes its
+// payload into the PayloadArena, the codec encodes those planes, and the
+// delivery reads the same planes, so ReplayResult::wire_bits_total is
+// always measured and no payload is decoded. Codecs never change analysis
+// results (audit builds decode every payload back and compare it). Two
+// knobs set what a replay costs (see docs/benchmarks.md):
 //  * ReplayOptions::materialize_pattern = false skips the PatternBuilder,
 //    the forced-checkpoint inventory and the saved-TDV extraction — the
 //    counters (messages/basic/forced/piggyback bits) are unchanged;
@@ -61,7 +62,7 @@ struct ReplayOptions {
   // ForceReason naming the predicate that fired.
   ProtocolObserver* observer = nullptr;
 
-  // The wire codec every send is encoded with and decoded back through;
+  // The wire codec every send is encoded with;
   // ReplayResult::wire_bits_total measures the encoded size. When unset,
   // the protocol's declared codec at the trace's process count
   // (ProtocolInfo::codec_for). kFlat is the byte-aligned reference layout.

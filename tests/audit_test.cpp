@@ -6,14 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "ccp/audit.hpp"
 #include "ccp/consistency.hpp"
 #include "core/tdv.hpp"
 #include "fixtures.hpp"
+#include "protocol_net.hpp"
+#include "protocols/codec.hpp"
 #include "protocols/protocol.hpp"
 #include "recovery/recovery_line.hpp"
+#include "sim/payload_arena.hpp"
 #include "util/check.hpp"
 
 namespace rdt {
@@ -154,6 +161,41 @@ TEST(AuditTdvMerge, CatchesAShrunkenEntry) {
   EXPECT_THROW(audit_tdv_merge(before, piggyback, Tdv{1, 3, 1}), audit_failure);
   // A merge that loses an entry is equally corrupt.
   EXPECT_THROW(audit_tdv_merge(before, piggyback, Tdv{1, 3}), audit_failure);
+}
+
+// The decode-back check every audited replay runs after each send
+// (PayloadArena::commit_send): the encoded bytes must decode to exactly the
+// slot's planes and be used up by that decode.
+TEST(AuditDecodeBack, CatchesBytesThatDoNotReproduceTheSlot) {
+  SKIP_WITHOUT_AUDITS();
+  constexpr int kN = 4;
+  constexpr PayloadShape kShape{.tdv = true, .simple = true};
+  // Slot 0 is the sent payload, slot 1 the decode scratch.
+  PayloadArena arena = test::payload_slots(kN, kShape, 2);
+  const PiggybackSlot sent = arena.slot(0);
+  for (std::size_t k = 0; k < kN; ++k) sent.tdv[k] = static_cast<CkptIndex>(k + 1);
+  sent.simple.set(2);
+  std::vector<std::uint8_t> bytes;
+  PiggybackCodec(PiggybackCodecKind::kFlat, kN, kShape)
+      .encode(0, 1, arena.view(0), bytes);
+  const auto check = [&](std::span<const std::uint8_t> wire) {
+    PiggybackCodec receiver(PiggybackCodecKind::kFlat, kN, kShape);
+    audit_decode_back(receiver, 0, 1, wire, arena.view(0), arena.slot(1));
+  };
+  EXPECT_NO_THROW(check(bytes));
+
+  std::vector<std::uint8_t> corrupted = bytes;
+  corrupted[0] ^= 1;  // the flat layout's first TDV entry: 1 -> 0
+  EXPECT_THROW(check(corrupted), audit_failure);
+  std::vector<std::uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_THROW(check(trailing), audit_failure);
+  // A truncated payload does not decode at all.
+  EXPECT_THROW(check(std::span(bytes).first(bytes.size() - 1)), audit_failure);
+
+  // The slot changed after it was encoded.
+  sent.simple.set(3);
+  EXPECT_THROW(check(bytes), audit_failure);
 }
 
 }  // namespace

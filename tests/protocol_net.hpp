@@ -30,7 +30,7 @@ class Net {
     return driver_.deliver(from, to, m);
   }
   void checkpoint(ProcessId p) { driver_.basic_checkpoint(p); }
-  // The payload message m carries, as decoded at its receiver.
+  // The payload message m carries, as its sender wrote it.
   PiggybackView view(MsgId m) const { return arena_.view(m); }
 
  private:
