@@ -143,7 +143,7 @@ void cost_sweep(BenchReport& report) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("characterizations", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -154,4 +154,6 @@ int main(int argc, char** argv) {
   cost_sweep(report);
   report.finish();
   return agreed ? 0 : 1;
+} catch (const UsageError&) {
+  return 2;
 }

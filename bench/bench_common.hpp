@@ -46,9 +46,11 @@ namespace rdt::bench {
 //   --trace PATH  capture an observability session, write a chrome trace
 // The common core flags are --seeds N (sweep width; each binary picks its
 // own default) and --threads N (worker threads; defaults to the hardware
-// concurrency). A numeric flag takes the whole next token as an integer
+// concurrency). The command line is flag/value pairs: every flag takes the
+// next token as its value, a numeric flag the whole token as an integer
 // (--seeds and --threads a positive one, a list flag comma-separated
-// positive ones); anything else prints the usage line and throws
+// positive ones). A token that is not a declared flag or a flag's value, a
+// flag with no value, or a malformed value prints the usage line and throws
 // UsageError, which main() maps to exit code 2, like the CLI tools.
 // Reading a flag the table does not declare is a bug in the binary and
 // throws std::logic_error.
@@ -65,34 +67,36 @@ struct BenchFlag {
 class BenchArgs {
  public:
   BenchArgs(int argc, char** argv, std::span<const BenchFlag> flags)
-      : argc_(argc), argv_(argv), flags_(flags) {}
-
-  bool has(std::string_view flag) const {
-    declared(flag);
-    for (int i = 1; i < argc_; ++i)
-      if (argv_[i] == flag) return true;
-    return false;
+      : argv0_(argv[0]), flags_(flags) {
+    for (int i = 1; i < argc; i += 2) {
+      const std::string_view flag = argv[i];
+      if (!is_declared(flag))
+        usage_error("unknown argument '" + std::string(flag) + "'");
+      if (i + 1 == argc) usage_error(std::string(flag) + " needs a value");
+      values_.emplace_back(flag, argv[i + 1]);
+    }
   }
+
   int flag_or(std::string_view flag, int fallback) const {
     return int_flag(flag, fallback, std::numeric_limits<int>::min(),
                     "an integer");
   }
   std::string flag_or(std::string_view flag, std::string fallback) const {
-    const char* v = value_of(flag);
-    return v != nullptr ? std::string(v) : std::move(fallback);
+    const std::string_view* v = value_of(flag);
+    return v != nullptr ? std::string(*v) : std::move(fallback);
   }
   // A comma-separated list of positive integers, such as "1,2,4".
   std::vector<int> positive_list(std::string_view flag,
                                  std::vector<int> fallback) const {
-    if (!has(flag)) return fallback;
-    const char* v = value_of(flag);
-    std::string_view rest = v != nullptr ? v : "";
+    const std::string_view* v = value_of(flag);
+    if (v == nullptr) return fallback;
+    std::string_view rest = *v;
     std::vector<int> out;
     for (;;) {
       const std::size_t comma = rest.find(',');
       int value = 0;
-      if (v == nullptr || !whole_int(rest.substr(0, comma), 1, value))
-        usage_error(flag, "a comma-separated list of positive integers");
+      if (!whole_int(rest.substr(0, comma), 1, value))
+        takes(flag, "a comma-separated list of positive integers");
       out.push_back(value);
       if (comma == std::string_view::npos) return out;
       rest.remove_prefix(comma + 1);
@@ -108,6 +112,17 @@ class BenchArgs {
   std::string json_path() const { return flag_or("--json", std::string()); }
   std::string trace_path() const { return flag_or("--trace", std::string()); }
 
+  // Print `program: message` and the usage line, then throw UsageError.
+  [[noreturn]] void usage_error(const std::string& message) const {
+    const std::string_view program = argv0_.substr(argv0_.rfind('/') + 1);
+    std::cerr << program << ": " << message << "\n"
+              << "usage: " << program;
+    for (const BenchFlag& f : flags_)
+      std::cerr << " [" << f.name << ' ' << f.value << ']';
+    std::cerr << " [--json PATH] [--trace PATH]\n";
+    throw UsageError{};
+  }
+
  private:
   int positive_flag(std::string_view flag, int fallback) const {
     return int_flag(flag, fallback, 1, "a positive integer");
@@ -116,11 +131,11 @@ class BenchArgs {
   // The whole token after `flag` as an int of at least `min`.
   int int_flag(std::string_view flag, int fallback, int min,
                const char* what) const {
-    if (!has(flag)) return fallback;
-    const char* v = value_of(flag);
+    const std::string_view* v = value_of(flag);
+    if (v == nullptr) return fallback;
     int value = 0;
-    if (v != nullptr && whole_int(v, min, value)) return value;
-    usage_error(flag, what);
+    if (whole_int(*v, min, value)) return value;
+    takes(flag, what);
   }
 
   static bool whole_int(std::string_view token, int min, int& value) {
@@ -129,35 +144,30 @@ class BenchArgs {
     return ec == std::errc() && ptr == end && value >= min;
   }
 
-  [[noreturn]] void usage_error(std::string_view flag, const char* what) const {
-    const std::string_view argv0(argv_[0]);
-    const std::string_view program = argv0.substr(argv0.rfind('/') + 1);
-    std::cerr << program << ": " << flag << " takes " << what << "\n"
-              << "usage: " << program;
-    for (const BenchFlag& f : flags_)
-      std::cerr << " [" << f.name << ' ' << f.value << ']';
-    std::cerr << " [--json PATH] [--trace PATH]\n";
-    throw UsageError{};
+  [[noreturn]] void takes(std::string_view flag, const char* what) const {
+    usage_error(std::string(flag) + " takes " + what);
   }
 
-  void declared(std::string_view flag) const {
-    if (flag == "--json" || flag == "--trace") return;
+  bool is_declared(std::string_view flag) const {
+    if (flag == "--json" || flag == "--trace") return true;
     for (const BenchFlag& f : flags_)
-      if (f.name == flag) return;
-    throw std::logic_error("bench: reads " + std::string(flag) +
-                           ", which its flag table does not declare");
+      if (f.name == flag) return true;
+    return false;
   }
 
-  const char* value_of(std::string_view flag) const {
-    declared(flag);
-    for (int i = 1; i + 1 < argc_; ++i)
-      if (argv_[i] == flag) return argv_[i + 1];
+  // The value given for `flag`, or nullptr when it is absent.
+  const std::string_view* value_of(std::string_view flag) const {
+    if (!is_declared(flag))
+      throw std::logic_error("bench: reads " + std::string(flag) +
+                             ", which its flag table does not declare");
+    for (const auto& [name, value] : values_)
+      if (name == flag) return &value;
     return nullptr;
   }
 
-  int argc_;
-  char** argv_;
+  std::string_view argv0_;
   std::span<const BenchFlag> flags_;
+  std::vector<std::pair<std::string_view, std::string_view>> values_;
 };
 
 // ---------------------------------------------------------------------------
@@ -194,6 +204,17 @@ inline ClientServerEnvConfig client_server_env_preset() {
   return cfg;
 }
 
+// A seed-to-trace generator over `cfg`: each call fills in its seed.
+template <class Config>
+std::function<Trace(std::uint64_t seed)> seeded(
+    Config cfg, Trace (*environment)(const Config&)) {
+  return [cfg, environment](std::uint64_t seed) {
+    Config c = cfg;
+    c.seed = seed;
+    return environment(c);
+  };
+}
+
 // The three presets as named seed-to-trace generators, for binaries that
 // iterate over all environment families.
 struct EnvPreset {
@@ -203,23 +224,10 @@ struct EnvPreset {
 
 inline const std::vector<EnvPreset>& env_presets() {
   static const std::vector<EnvPreset> presets = {
-      {"random",
-       [](std::uint64_t seed) {
-         RandomEnvConfig cfg = random_env_preset();
-         cfg.seed = seed;
-         return random_environment(cfg);
-       }},
-      {"group",
-       [](std::uint64_t seed) {
-         GroupEnvConfig cfg = group_env_preset();
-         cfg.seed = seed;
-         return group_environment(cfg);
-       }},
-      {"client_server", [](std::uint64_t seed) {
-         ClientServerEnvConfig cfg = client_server_env_preset();
-         cfg.seed = seed;
-         return client_server_environment(cfg);
-       }}};
+      {"random", seeded(random_env_preset(), random_environment)},
+      {"group", seeded(group_env_preset(), group_environment)},
+      {"client_server",
+       seeded(client_server_env_preset(), client_server_environment)}};
   return presets;
 }
 

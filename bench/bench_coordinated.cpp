@@ -20,7 +20,7 @@ using namespace rdt::bench;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("coordinated", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -96,4 +96,6 @@ int main(int argc, char** argv) {
          "traffic.\n";
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

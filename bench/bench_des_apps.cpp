@@ -66,7 +66,7 @@ void app_table(BenchReport& report, const AppCase& app, int seeds) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("des_apps", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -94,4 +94,6 @@ int main(int argc, char** argv) {
                "request/reply chains dominate.\n";
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

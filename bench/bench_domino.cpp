@@ -136,7 +136,7 @@ void logging_table(BenchReport& report) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("domino", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -147,4 +147,6 @@ int main(int argc, char** argv) {
   logging_table(report);
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

@@ -39,7 +39,7 @@ Hindsight analyze(const ReplayResult& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("hindsight", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -84,4 +84,6 @@ int main(int argc, char** argv) {
                "knowledge piggybacked is conservatism avoided.\n";
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

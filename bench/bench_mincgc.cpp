@@ -26,7 +26,7 @@ double us_since(Clock::time_point start, long long ops) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("mincgc", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -100,4 +100,6 @@ int main(int argc, char** argv) {
                "stays flat while the offline cost grows\nwith the pattern.\n";
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

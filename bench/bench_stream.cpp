@@ -6,7 +6,7 @@
 // re-runs the full batch analysis per sampled prefix, which is what keeping
 // the answers live would cost without the kernel.
 //
-// Reported per environment section (--json, schema rdt-bench-v1):
+// Reported per environment section (--json, schema rdt-bench-v2):
 //   events_per_sec          end-to-end feed+query throughput
 //   rate_q1..rate_q4        per-quartile event rates over the stream
 //   flatness_q4_over_q1     last-quartile rate / first-quartile rate —

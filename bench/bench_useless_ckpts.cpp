@@ -26,7 +26,7 @@ using namespace rdt::bench;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchReport report("useless_ckpts", argc, argv);
   std::cout
       << "==================================================================\n"
@@ -85,4 +85,6 @@ int main(int argc, char** argv) {
          "the lowest forced-checkpoint rate.\n";
   report.finish();
   return 0;
+} catch (const UsageError&) {
+  return 2;
 }

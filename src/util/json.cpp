@@ -26,7 +26,7 @@ class Parser {
   }
 
  private:
-  // Deep enough for any rdt-bench-v1 / rdt-trace-v1 document, shallow
+  // Deep enough for any rdt-bench-v2 / rdt-trace-v1 document, shallow
   // enough that adversarial input cannot overflow the call stack.
   static constexpr int kMaxDepth = 256;
 

@@ -4,10 +4,9 @@
 // The repo *writes* JSON in two formats (rdt-bench-v2 reports from
 // bench_common.hpp, rdt-trace-v1 chrome traces from obs/session.cpp). Both
 // writers escape strings through write_string() below. The parser is the
-// reading half: tools/rdt_stats loads either file back (and the older
-// rdt-bench-v1 reports), and trace_export_test round-trips the writers
-// through it. It is a DOM, not a streaming parser — the documents involved
-// are reports, not bulk data.
+// reading half: tools/rdt_stats loads either file back, and
+// trace_export_test round-trips the writers through it. It is a DOM, not a
+// streaming parser — the documents involved are reports, not bulk data.
 //
 // Scope: full JSON (RFC 8259) input, including string escapes and \uXXXX
 // (decoded to UTF-8). Numbers without fraction/exponent that fit a

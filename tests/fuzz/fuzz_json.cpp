@@ -1,5 +1,5 @@
 // libFuzzer harness for the util/json DOM parser — the reading half of the
-// rdt-bench-v1 / rdt-trace-v1 pipeline (tools/rdt_stats feeds it files from
+// rdt-bench-v2 / rdt-trace-v1 pipeline (tools/rdt_stats feeds it files from
 // disk, i.e. untrusted bytes). Same contract as the other parsers:
 // arbitrary input either parses into a Value or throws std::invalid_argument;
 // logic_error, bad_alloc, deep-recursion crashes and signals are bugs.

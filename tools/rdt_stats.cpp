@@ -2,7 +2,7 @@
 //
 //   rdt-stats trace <trace.json>    validate an rdt-trace-v1 chrome trace,
 //                                   summarize spans / counters / histograms
-//   rdt-stats bench <report.json>   validate an rdt-bench report, list
+//   rdt-stats bench <report.json>   validate an rdt-bench-v2 report, list
 //                                   its sections (and the observability
 //                                   section's counters when present)
 //
@@ -32,7 +32,7 @@ struct UsageError {};
 [[noreturn]] void usage() {
   std::cerr << "usage: rdt-stats <command> <file.json>\n"
                "  trace <trace.json>    rdt-trace-v1 (chrome://tracing)\n"
-               "  bench <report.json>   rdt-bench-v1 or -v2\n";
+               "  bench <report.json>   rdt-bench-v2\n";
   throw UsageError{};
 }
 
@@ -145,18 +145,17 @@ int cmd_trace(const std::string& path) {
 
 int cmd_bench(const std::string& path) {
   const json::Value doc = json::parse(slurp(path));
-  // v2 replaced the flat piggyback_bits_per_message column with measured
-  // wire bits; the envelope this command validates is otherwise unchanged,
-  // so both versions are accepted.
   const std::string& schema = doc.at("schema").as_string();
-  if (schema != "rdt-bench-v1" && schema != "rdt-bench-v2")
-    schema_error("expected schema rdt-bench-v1 or -v2, got '" + schema + "'");
+  if (schema != "rdt-bench-v2")
+    schema_error("expected schema rdt-bench-v2, got '" + schema + "'");
 
-  std::cout << "experiment: " << doc.at("experiment").as_string() << " ("
-            << doc.at("wall_seconds").as_double() << " s)\n";
+  const double wall = doc.at("wall_seconds").as_double();
+  if (wall <= 0) schema_error("wall_seconds must be positive");
+  std::cout << "experiment: " << doc.at("experiment").as_string() << " (" << wall << " s)\n";
   // A section carries either a per-protocol sweep ("protocols" array) or
   // free-form "metrics"; the observability section is of the second form.
   const auto& sections = doc.at("sections").as_array();
+  if (sections.empty()) schema_error("a report needs at least one section");
   Table table({"section", "payload"});
   const json::Value* observability = nullptr;
   for (const json::Value& section : sections) {
@@ -164,8 +163,10 @@ int cmd_bench(const std::string& path) {
     if (const json::Value* protocols = section.find("protocols"))
       table.begin_row().add(name).add(
           std::to_string(protocols->as_array().size()) + " protocol(s)");
-    else
+    else if (section.find("metrics") != nullptr)
       table.begin_row().add(name).add("metrics");
+    else
+      schema_error("section '" + name + "' has neither protocols nor metrics");
     if (name == "observability") observability = &section.at("metrics");
   }
   table.print(std::cout);
