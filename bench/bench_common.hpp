@@ -50,8 +50,9 @@ namespace rdt::bench {
 // next token as its value, a numeric flag the whole token as an integer
 // (--seeds and --threads a positive one, a list flag comma-separated
 // positive ones). A token that is not a declared flag or a flag's value, a
-// flag with no value, or a malformed value prints the usage line and throws
-// UsageError, which main() maps to exit code 2, like the CLI tools.
+// flag with no value, a flag given twice, or a malformed value prints the
+// usage line and throws UsageError, which main() maps to exit code 2, like
+// the CLI tools.
 // Reading a flag the table does not declare is a bug in the binary and
 // throws std::logic_error.
 // ---------------------------------------------------------------------------
@@ -73,6 +74,8 @@ class BenchArgs {
       if (!is_declared(flag))
         usage_error("unknown argument '" + std::string(flag) + "'");
       if (i + 1 == argc) usage_error(std::string(flag) + " needs a value");
+      if (value_of(flag) != nullptr)
+        usage_error(std::string(flag) + " given more than once");
       values_.emplace_back(flag, argv[i + 1]);
     }
   }

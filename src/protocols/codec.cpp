@@ -67,7 +67,12 @@ std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
 
 std::size_t plane_bytes(std::size_t bits) { return (bits + 7) / 8; }
 
-// --- byte-aligned bit planes (flat codec + delta causal masks) ---
+// --- byte-aligned bit planes (flat codec + delta masks) ---
+
+[[noreturn, gnu::cold, gnu::noinline]] void fail_stray(std::size_t offset,
+                                                       const char* what) {
+  fail(offset, std::string(what) + " has stray bits beyond the plane width");
+}
 
 void put_bits(ConstBitSpan bits, std::vector<std::uint8_t>& out) {
   const std::uint64_t* words = bits.words();
@@ -88,8 +93,30 @@ void get_bits(std::span<const std::uint8_t> bytes, std::size_t& at,
   for (std::size_t i = 0; i < nbytes; ++i)
     words[i / 8] |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * (i % 8));
   at += nbytes;
-  if (!dst.tail_zero())
-    fail(at - 1, std::string(what) + " has stray bits beyond the plane width");
+  if (!dst.tail_zero()) fail_stray(at - 1, what);
+}
+
+// A delta change mask: the nbytes low bytes of one word, written at `p`;
+// returns one past them.
+std::uint8_t* put_mask(std::uint64_t mask, std::size_t nbytes,
+                       std::uint8_t* p) {
+  for (std::size_t b = 0; b < nbytes; ++b)
+    *p++ = static_cast<std::uint8_t>(mask >> (8 * b));
+  return p;
+}
+
+// Reads one nbytes-byte change mask, rejecting bits outside `keep` (past n
+// they name no entry, and would vanish on re-encode).
+[[gnu::always_inline]] inline std::uint64_t get_mask(
+    std::span<const std::uint8_t> bytes, std::size_t& at, std::size_t end,
+    std::size_t nbytes, std::uint64_t keep, const char* what) {
+  need_bytes(at, end, nbytes, what);
+  std::uint64_t mask = 0;
+  for (std::size_t b = 0; b < nbytes; ++b)
+    mask |= static_cast<std::uint64_t>(bytes[at + b]) << (8 * b);
+  if ((mask & ~keep) != 0) fail_stray(at, what);
+  at += nbytes;
+  return mask;
 }
 
 void put_index_u32(CkptIndex v, std::vector<std::uint8_t>& out) {
@@ -115,7 +142,7 @@ CkptIndex get_index_u32(std::span<const std::uint8_t> bytes, std::size_t& at,
   return static_cast<CkptIndex>(u);
 }
 
-// --- gap-encoded strictly-increasing offset lists (sparse + delta) ---
+// --- gap-encoded strictly-increasing offset lists (sparse) ---
 
 // Appends the gap of `pos` after the previous offset of a strictly
 // increasing list: `next` is one past the previous offset (0 before the
@@ -124,13 +151,6 @@ CkptIndex get_index_u32(std::span<const std::uint8_t> bytes, std::size_t& at,
 void put_gap(std::size_t pos, std::size_t& next, std::vector<std::uint8_t>& out) {
   varint::put(pos - next, out);
   next = pos + 1;
-}
-
-// The same gap written at `out`; returns one past it.
-std::uint8_t* put_gap(std::size_t pos, std::size_t& next, std::uint8_t* out) {
-  out = varint::put(pos - next, out);
-  next = pos + 1;
-  return out;
 }
 
 // Decodes one strictly-increasing gap-encoded offset list. Calls visit(pos)
@@ -182,17 +202,11 @@ void PiggybackCodec::reset(PiggybackCodecKind kind, int num_processes,
   kind_ = kind;
   n_ = num_processes;
   shape_ = shape;
-  const auto n = static_cast<std::size_t>(n_);
-  row_words_ = bitdetail::words_for(n);
-  // assign() zeroes in place once grown — steady-state reset allocates
-  // nothing, matching the PayloadArena discipline.
-  const std::size_t chs = kind == PiggybackCodecKind::kDelta ? n * n : 0;
-  for (ChannelPlanes* side : {&enc_, &dec_}) {
-    side->tdv.assign(shape.tdv ? chs * n : 0, 0);
-    side->simple.assign(shape.simple ? chs * row_words_ : 0, 0);
-    side->causal.assign(shape.causal ? chs * n * row_words_ : 0, 0);
-    side->index.assign(shape.index ? chs : 0, 0);
-  }
+  row_words_ = bitdetail::words_for(static_cast<std::size_t>(n_));
+  // Each side's delta shadows are sized and zeroed on its first use, so a
+  // codec that only encodes never holds decoder shadows, and vice versa.
+  enc_.sized = false;
+  dec_.sized = false;
 }
 
 std::size_t PiggybackCodec::max_encoded_bytes() const {
@@ -374,23 +388,37 @@ std::size_t PiggybackCodec::decode_sparse(std::span<const std::uint8_t> bytes,
 // --- delta: per-channel shadows, encode only what changed ---
 //
 // n <= kMaxDeltaProcesses = 64, so every plane row is one word and a change
-// mask over the n TDV entries or the n causal rows fits one word too.
+// mask over the n TDV entries or the n causal rows fits one word too. On
+// the wire each mask is its ceil(n/8) low bytes, little-endian.
 static_assert(kMaxDeltaProcesses <= 64,
               "the delta codec keeps one-word change masks");
+
+void PiggybackCodec::size_shadows(ChannelPlanes& side) {
+  // assign() zeroes in place once grown: a reset to the same geometry
+  // allocates nothing, matching the PayloadArena discipline.
+  const auto n = static_cast<std::size_t>(n_);
+  const std::size_t chs = n * n;
+  side.tdv.assign(shape_.tdv ? chs * n : 0, 0);
+  side.simple.assign(shape_.simple ? chs : 0, 0);
+  side.causal.assign(shape_.causal ? chs * n : 0, 0);
+  side.index.assign(shape_.index ? chs : 0, 0);
+  side.sized = true;
+}
 
 std::size_t PiggybackCodec::encode_delta(std::size_t ch,
                                          const PiggybackView& payload,
                                          std::vector<std::uint8_t>& out) {
+  if (!enc_.sized) size_shadows(enc_);
   const std::size_t start = out.size();
   const auto n = static_cast<std::size_t>(n_);
   const std::size_t mask_bytes = plane_bytes(n);
-  // Size the output once for the worst case and write through a pointer.
-  // With n <= 64 every count, gap and row offset is one varint byte, and a
-  // TDV or index increment stays below kMaxPiggybackIndex = 2^30 (5 bytes).
+  // Size the output once for the worst case and write through a pointer:
+  // a TDV or index increment stays below kMaxPiggybackIndex = 2^30, so its
+  // varint takes at most 5 bytes.
   std::size_t bound = 0;
-  if (shape_.tdv) bound += 1 + n * 6;
-  if (shape_.simple) bound += 1 + n;
-  if (shape_.causal) bound += 1 + n * (1 + mask_bytes);
+  if (shape_.tdv) bound += mask_bytes + n * 5;
+  if (shape_.simple) bound += mask_bytes;
+  if (shape_.causal) bound += mask_bytes + n * mask_bytes;
   if (shape_.index) bound += 5;
   out.resize(start + bound);
   std::uint8_t* const first = out.data() + start;
@@ -403,25 +431,18 @@ std::size_t PiggybackCodec::encode_delta(std::size_t ch,
     std::uint64_t changed = 0;
     for (std::size_t k = 0; k < n; ++k)
       changed |= static_cast<std::uint64_t>(tdv[k] != shadow[k]) << k;
-    p = varint::put(static_cast<std::uint64_t>(std::popcount(changed)), p);
-    std::size_t next = 0;
+    p = put_mask(changed, mask_bytes, p);
     for (; changed != 0; changed &= changed - 1) {
       const auto k = static_cast<std::size_t>(std::countr_zero(changed));
       RDT_CHECK(tdv[k] > shadow[k] && tdv[k] < kMaxPiggybackIndex,
                 "tdv entries must grow monotonically per channel");
-      p = put_gap(k, next, p);
       p = varint::put(static_cast<std::uint64_t>(tdv[k] - shadow[k]), p);
       shadow[k] = tdv[k];
     }
   }
   if (shape_.simple) {
     std::uint64_t& shadow = enc_.simple[ch];
-    std::uint64_t flips = payload.simple.words()[0] ^ shadow;
-    p = varint::put(static_cast<std::uint64_t>(std::popcount(flips)), p);
-    std::size_t next = 0;
-    for (; flips != 0; flips &= flips - 1)
-      p = put_gap(static_cast<std::size_t>(std::countr_zero(flips)), next,
-                  p);
+    p = put_mask(payload.simple.words()[0] ^ shadow, mask_bytes, p);
     shadow = payload.simple.words()[0];
   }
   if (shape_.causal) {
@@ -430,15 +451,10 @@ std::size_t PiggybackCodec::encode_delta(std::size_t ch,
     std::uint64_t changed = 0;
     for (std::size_t r = 0; r < n; ++r)
       changed |= static_cast<std::uint64_t>(rows[r] != shadow[r]) << r;
-    p = varint::put(static_cast<std::uint64_t>(std::popcount(changed)), p);
-    std::size_t next = 0;
+    p = put_mask(changed, mask_bytes, p);
     for (; changed != 0; changed &= changed - 1) {
       const auto r = static_cast<std::size_t>(std::countr_zero(changed));
-      p = put_gap(r, next, p);
-      // XOR mask, byte-aligned like a flat causal row.
-      const std::uint64_t mask = rows[r] ^ shadow[r];
-      for (std::size_t b = 0; b < mask_bytes; ++b)
-        *p++ = static_cast<std::uint8_t>(mask >> (8 * b));
+      p = put_mask(rows[r] ^ shadow[r], mask_bytes, p);
       shadow[r] = rows[r];
     }
   }
@@ -459,62 +475,45 @@ std::size_t PiggybackCodec::decode_delta(std::size_t ch,
                                          std::span<const std::uint8_t> bytes,
                                          std::size_t at,
                                          const PiggybackSlot& slot) {
+  if (!dec_.sized) size_shadows(dec_);
   const std::size_t end = bytes.size();
   const auto n = static_cast<std::size_t>(n_);
+  const std::size_t mask_bytes = plane_bytes(n);
+  const std::uint64_t keep = bitdetail::tail_mask(n);
   // Parse into the slot seeded from the shadow; the shadow itself is only
   // advanced after the whole payload parsed, so a throw poisons nothing.
   if (shape_.tdv) {
     const CkptIndex* shadow = dec_.tdv.data() + ch * n;
     std::memcpy(slot.tdv.data(), shadow, n * sizeof(CkptIndex));
-    const std::uint64_t count = get_capped(bytes, at, end, n + 1, "tdv delta count");
-    std::uint64_t next = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::size_t gap_at = at;
-      const std::uint64_t gap = get_varint(bytes, at, end, "tdv delta gap");
-      if (gap >= n) fail(gap_at, "tdv delta gap runs past the plane size");
-      const std::uint64_t pos = next + gap;
-      if (pos >= n) fail(gap_at, "tdv delta offset runs past the plane size");
-      next = pos + 1;
+    for (std::uint64_t changed = get_mask(bytes, at, end, mask_bytes, keep,
+                                          "tdv change mask");
+         changed != 0; changed &= changed - 1) {
+      const auto k = static_cast<std::size_t>(std::countr_zero(changed));
       const std::size_t d_at = at;
       const std::uint64_t d = get_varint(bytes, at, end, "tdv delta");
       if (d == 0) fail(d_at, "zero tdv delta is non-canonical");
-      const std::uint64_t value =
-          static_cast<std::uint64_t>(shadow[pos]) + d;
+      const std::uint64_t value = static_cast<std::uint64_t>(shadow[k]) + d;
       if (d >= static_cast<std::uint64_t>(kMaxPiggybackIndex) ||
           value >= static_cast<std::uint64_t>(kMaxPiggybackIndex))
         fail(d_at, "tdv delta pushes the entry past the piggyback cap");
-      slot.tdv[pos] = static_cast<CkptIndex>(value);
+      slot.tdv[k] = static_cast<CkptIndex>(value);
     }
   }
-  if (shape_.simple) {
-    std::uint64_t word = dec_.simple[ch];
-    get_offsets(bytes, at, end, n, "simple flip",
-                [&](std::size_t pos) { word ^= 1ULL << pos; });
-    slot.simple.words()[0] = word;
-  }
+  if (shape_.simple)
+    slot.simple.words()[0] =
+        dec_.simple[ch] ^
+        get_mask(bytes, at, end, mask_bytes, keep, "simple flip mask");
   if (shape_.causal) {
     std::uint64_t* rows = slot.causal.row(0).words();
     std::memcpy(rows, dec_.causal.data() + ch * n, n * sizeof(std::uint64_t));
-    const std::size_t mask_bytes = plane_bytes(n);
-    const std::uint64_t keep = bitdetail::tail_mask(n);
-    const std::uint64_t count = get_capped(bytes, at, end, n + 1, "causal row count");
-    std::uint64_t next = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::size_t gap_at = at;
-      const std::uint64_t gap = get_varint(bytes, at, end, "causal row gap");
-      if (gap >= n) fail(gap_at, "causal row gap runs past the plane size");
-      const std::uint64_t r = next + gap;
-      if (r >= n) fail(gap_at, "causal row offset runs past the plane size");
-      next = r + 1;
+    for (std::uint64_t changed = get_mask(bytes, at, end, mask_bytes, keep,
+                                          "causal changed-row mask");
+         changed != 0; changed &= changed - 1) {
+      const auto r = static_cast<std::size_t>(std::countr_zero(changed));
       const std::size_t mask_at = at;
-      need_bytes(at, end, mask_bytes, "causal row mask");
-      std::uint64_t mask = 0;
-      for (std::size_t b = 0; b < mask_bytes; ++b)
-        mask |= static_cast<std::uint64_t>(bytes[at + b]) << (8 * b);
-      at += mask_bytes;
+      const std::uint64_t mask =
+          get_mask(bytes, at, end, mask_bytes, keep, "causal row mask");
       if (mask == 0) fail(mask_at, "all-zero causal row mask is non-canonical");
-      if ((mask & ~keep) != 0)
-        fail(mask_at, "causal row mask has stray bits beyond the plane width");
       rows[r] ^= mask;
     }
   }

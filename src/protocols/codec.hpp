@@ -18,12 +18,19 @@
 //    against.
 //  * kDelta — delta-since-last-send. The codec keeps a per-channel
 //    (src, dest) shadow of the last payload that crossed that channel and
-//    encodes only what changed: TDV entries as (index-gap, increment)
-//    pairs (TDV entries are monotone per channel, so a zero increment is
-//    rejected as non-canonical), bit planes as gap-encoded flip offsets,
-//    the causal matrix as changed rows carrying XOR masks, the scalar
-//    index as its increment. Needs identical shadow evolution on both
-//    ends, which holds because payloads are decoded in channel send order.
+//    encodes only what changed, each plane's change set as a change mask
+//    of ceil(n/8) little-endian bytes (bit k names entry or row k):
+//      tdv     mask of changed entries, then one varint increment per set
+//              bit in ascending order (TDV entries are monotone per
+//              channel, so a zero increment is rejected as non-canonical)
+//      simple  the flip mask alone
+//      causal  mask of changed rows, then one ceil(n/8)-byte XOR mask per
+//              changed row in ascending order (an all-zero one is
+//              rejected as non-canonical)
+//      index   its increment as a varint
+//    A mask bit at or past n is rejected. Needs identical shadow evolution
+//    on both ends, which holds because payloads are decoded in channel
+//    send order.
 //  * kSparse — stateless bit-packed planes. TDV entries and the scalar
 //    index as varints, bit planes as gap-encoded set-bit offsets over the
 //    row-major linearization. No shadows, so any single payload stands
@@ -32,13 +39,13 @@
 // All multi-byte integers reuse the bounded LEB128 primitives from
 // util/varint.hpp (the serve wire format's encoding). The decoder is
 // hardened like serve/wire.cpp: counts are capped by plane sizes, offsets
-// must strictly increase inside a plane, values are capped by
-// kMaxPiggybackIndex, non-minimal varints are refused (so every payload has
-// exactly one encoding), every error is a std::invalid_argument prefixed
-// "piggyback: byte N: ...", and `offset` is untouched on throw. On a
-// throw the output slot's contents are unspecified but the codec's
-// channel shadows are untouched, so a caller may simply report the bad
-// payload and keep the codec alive.
+// must strictly increase inside a plane, masks carry no bits past the
+// plane width, values are capped by kMaxPiggybackIndex, non-minimal
+// varints are refused (so every payload has exactly one encoding), every
+// error is a std::invalid_argument prefixed "piggyback: byte N: ...", and
+// `offset` is untouched on throw. On a throw the output slot's contents
+// are unspecified but the codec's channel shadows are untouched, so a
+// caller may simply report the bad payload and keep the codec alive.
 #pragma once
 
 #include <cstddef>
@@ -84,8 +91,11 @@ class PiggybackCodec {
     reset(kind, num_processes, shape);
   }
 
-  // Re-targets the codec and zeroes every channel shadow (grow-only
-  // storage: resetting to the same geometry allocates nothing).
+  // Re-targets the codec and forgets every channel shadow. The delta
+  // codec sizes and zeroes each side's shadows (encoder, decoder) on that
+  // side's first use after a reset, in grow-only storage: a codec that
+  // only encodes never allocates decoder shadows, and a reset to the same
+  // geometry allocates nothing.
   void reset(PiggybackCodecKind kind, int num_processes, PayloadShape shape);
 
   PiggybackCodecKind kind() const { return kind_; }
@@ -119,15 +129,17 @@ class PiggybackCodec {
 
  private:
   struct ChannelPlanes {
-    // Flat per-channel blocks, all sized at reset(); empty when the codec
-    // is stateless or the shape omits the plane.
-    std::vector<CkptIndex> tdv;       // n^2 channels x n entries
-    std::vector<std::uint64_t> simple;  // n^2 channels x row_words
-    std::vector<std::uint64_t> causal;  // n^2 channels x n rows x row_words
-    std::vector<CkptIndex> index;     // n^2 channels
+    // Flat per-channel blocks, sized by size_shadows() on the side's first
+    // use; empty when the shape omits the plane. Delta rows are one word.
+    std::vector<CkptIndex> tdv;         // n^2 channels x n entries
+    std::vector<std::uint64_t> simple;  // n^2 channels
+    std::vector<std::uint64_t> causal;  // n^2 channels x n rows
+    std::vector<CkptIndex> index;       // n^2 channels
+    bool sized = false;                 // since the last reset()
   };
 
   std::size_t channel(ProcessId src, ProcessId dest) const;
+  void size_shadows(ChannelPlanes& side);
   void check_shape(std::size_t tdv_size, std::size_t simple_size,
                    std::size_t causal_rows, std::size_t causal_cols,
                    bool has_index) const;

@@ -137,6 +137,61 @@ TEST(ZeroAllocation, CodecPathAllocCountIsIndependentOfTraceSize) {
   }
 }
 
+// The delta codec sizes each side's channel shadows on that side's first
+// use: reset() allocates nothing, a codec that only encodes (a plain
+// replay) never holds the decoder's shadows, and a reset to the same
+// geometry reuses both sides' storage.
+TEST(ZeroAllocation, DeltaShadowsAreSizedOnFirstUse) {
+  constexpr std::size_t kN = 8;
+  const PayloadShape shape{.tdv = true, .simple = true, .causal = true,
+                           .index = true};
+  std::vector<CkptIndex> tdv(kN, 1);
+  std::vector<std::uint64_t> simple = {0b101};
+  std::vector<std::uint64_t> causal(kN, 1);
+  PiggybackView sent;
+  sent.tdv = {tdv.data(), kN};
+  sent.simple = {simple.data(), kN};
+  sent.causal = {causal.data(), kN, kN};
+  sent.index = 2;
+  std::vector<CkptIndex> tdv_back(kN);
+  std::vector<std::uint64_t> simple_back(1);
+  std::vector<std::uint64_t> causal_back(kN);
+  CkptIndex index_back = 0;
+  PiggybackSlot back;
+  back.tdv = {tdv_back.data(), kN};
+  back.simple = {simple_back.data(), kN};
+  back.causal = {causal_back.data(), kN, kN};
+  back.index = &index_back;
+  std::vector<std::uint8_t> wire;
+  wire.reserve(4096);
+  std::size_t offset = 0;
+  auto allocs = [](auto&& call) {
+    const long long before = g_allocs.load(std::memory_order_relaxed);
+    call();
+    return g_allocs.load(std::memory_order_relaxed) - before;
+  };
+
+  PiggybackCodec codec;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    wire.clear();
+    offset = 0;
+    // One allocation per shadow plane on a side's first use, none after a
+    // reset to the same geometry.
+    const long long first_use = round == 0 ? 4 : 0;
+    EXPECT_EQ(allocs([&] {
+                codec.reset(PiggybackCodecKind::kDelta, kN, shape);
+              }),
+              0);
+    EXPECT_EQ(allocs([&] { codec.encode(0, 1, sent, wire); }), first_use);
+    EXPECT_EQ(allocs([&] { codec.encode(1, 0, sent, wire); }), 0);
+    EXPECT_EQ(allocs([&] { codec.decode(0, 1, wire, offset, back); }),
+              first_use);
+    EXPECT_EQ(allocs([&] { codec.decode(1, 0, wire, offset, back); }), 0);
+    EXPECT_EQ(offset, wire.size());
+  }
+}
+
 // Submit copies each frame into a queue slot whose byte buffer kept its
 // capacity from earlier frames; the worker swaps the whole queue for its
 // batch and decodes into one reused Frame. Internal events leave the

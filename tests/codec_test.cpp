@@ -183,8 +183,8 @@ TEST(PiggybackCodecFlat, ByteLayoutIsExact) {
 }
 
 // Delta encodes only what changed: an identical payload on the same
-// channel costs four count/delta bytes, and the decoder reproduces it from
-// its shadow alone.
+// channel costs three empty masks and a zero index delta, and the decoder
+// reproduces it from its shadow alone.
 TEST(PiggybackCodecDelta, UnchangedPayloadCollapses) {
   const int n = 6;
   PiggybackCodec codec(PiggybackCodecKind::kDelta, n, kFullShape);
@@ -194,7 +194,7 @@ TEST(PiggybackCodecDelta, UnchangedPayloadCollapses) {
   std::vector<std::uint8_t> second;
   codec.encode(2, 4, pb, first);
   const std::size_t len = codec.encode(2, 4, pb, second);
-  EXPECT_EQ(len, 4u);  // tdv count 0, no flips, no rows, index delta 0
+  EXPECT_EQ(len, 4u);  // tdv, flip and row masks 0, index delta 0
   EXPECT_LT(second.size(), first.size());
 
   std::size_t offset = 0;
@@ -237,10 +237,11 @@ TEST(PiggybackCodecDelta, NonMonotoneTdvIsEncoderContractViolation) {
   EXPECT_THROW(codec.encode(0, 1, pb, wire), contract_violation);
 }
 
-// The delta encoder sizes its output once per payload: 1 + 6n bytes for
-// the TDV (count, then a one-byte gap and an up-to-5-byte increment per
-// entry), 1 + n for the simple flips, 1 + n(1 + ceil(n/8)) for the causal
-// rows and 5 for the index increment. The worst case fills every plane at
+// The delta encoder sizes its output once per payload. With m = ceil(n/8)
+// mask bytes that is m + 5n bytes for the TDV (change mask, then an
+// up-to-5-byte increment per entry), m for the simple flip mask,
+// m + n * m for the causal rows (changed-row mask, then one XOR mask per
+// row) and 5 for the index increment. The worst case fills every plane at
 // once and must land exactly on that bound, after the bytes already in the
 // buffer, and decode back.
 TEST(PiggybackCodecDelta, WorstCasePayloadFillsTheBound) {
@@ -259,7 +260,8 @@ TEST(PiggybackCodecDelta, WorstCasePayloadFillsTheBound) {
     const ProcessId dest = n - 1;
     std::vector<std::uint8_t> wire = {0xAB};
     const std::size_t len = codec.encode(0, dest, arena.view(0), wire);
-    EXPECT_EQ(len, (1 + 6 * un) + (1 + un) + (1 + un * (1 + (un + 7) / 8)) + 5);
+    const std::size_t m = (un + 7) / 8;
+    EXPECT_EQ(len, (m + 5 * un) + m + (m + un * m) + 5);
     ASSERT_EQ(wire.size(), 1 + len);
     EXPECT_EQ(wire[0], 0xAB);
     std::size_t offset = 1;
@@ -341,23 +343,43 @@ TEST(PiggybackCodecReject, DeltaMalformations) {
   const PayloadShape tdv_only{.tdv = true};
   {
     PiggybackCodec codec(PiggybackCodecKind::kDelta, n, tdv_only);
-    // Zero delta: the entry did not change, so encoding it is
-    // non-canonical (count 1, gap 0, delta 0).
-    expect_rejected(codec, {1, 0, 0}, n, "delta zero increment");
-    // Gap past the plane.
-    expect_rejected(codec, {1, 5, 1}, n, "delta gap over plane");
-    // Count over the plane size.
-    expect_rejected(codec, {6}, n, "delta count over plane");
-    // Truncated pair list.
-    expect_rejected(codec, {2, 0, 1, 1}, n, "delta truncated pairs");
+    // Zero increment: the entry did not change, so encoding it is
+    // non-canonical (mask 0b1, increment 0).
+    expect_rejected(codec, {0x01, 0}, n, "delta zero increment");
+    // Stray mask bit naming entry 5 of 5.
+    expect_rejected(codec, {0x21, 1, 1}, n, "delta stray tdv mask bit");
+    // Truncated mask.
+    expect_rejected(codec, {}, n, "delta truncated tdv mask");
+    // Truncated increment list: two entries named, one increment sent.
+    expect_rejected(codec, {0x03, 1}, n, "delta truncated increments");
+    // An increment pushing the entry past the cap.
+    expect_rejected(codec, {0x01, 0x80, 0x80, 0x80, 0x80, 0x04}, n,
+                    "delta tdv past cap");
+  }
+  {
+    const PayloadShape simple_only{.simple = true};
+    PiggybackCodec codec(PiggybackCodecKind::kDelta, n, simple_only);
+    // Stray flip bit beyond the plane width (bit 7 of 5).
+    expect_rejected(codec, {0x80}, n, "delta stray flip bit");
   }
   {
     const PayloadShape causal_only{.causal = true};
     PiggybackCodec codec(PiggybackCodecKind::kDelta, n, causal_only);
     // All-zero row mask: the row did not change, non-canonical.
-    expect_rejected(codec, {1, 0, 0}, n, "delta zero causal mask");
+    expect_rejected(codec, {0x01, 0}, n, "delta zero causal mask");
     // Stray bits beyond column n in the row mask (bit 5 of 5).
-    expect_rejected(codec, {1, 0, 0x20}, n, "delta stray mask bit");
+    expect_rejected(codec, {0x01, 0x20}, n, "delta stray row mask bit");
+    // Stray bit in the changed-row mask (row 6 of 5).
+    expect_rejected(codec, {0x40, 0x01}, n, "delta stray changed-row bit");
+    // Truncated row masks: two rows named, one mask sent.
+    expect_rejected(codec, {0x03, 0x01}, n, "delta truncated row masks");
+  }
+  {
+    // Masks span ceil(n/8) bytes: at n = 9 a one-byte mask is truncated.
+    PiggybackCodec codec(PiggybackCodecKind::kDelta, 9, tdv_only);
+    expect_rejected(codec, {0x01}, 9, "delta truncated two-byte mask");
+    // Bit 9 of 9, in the mask's second byte.
+    expect_rejected(codec, {0x00, 0x02, 1}, 9, "delta stray high mask bit");
   }
   {
     const PayloadShape index_only{.index = true};
@@ -401,11 +423,9 @@ TEST(PiggybackCodecReject, OverlongVarints) {
   }
   {
     PiggybackCodec codec(PiggybackCodecKind::kDelta, 4, tdv_only);
-    // count 1, gap 0, delta 1 — each field in turn spelled `8x 00`.
-    expect_rejected(codec, {0x81, 0x00, 0x00, 0x01}, 4, "delta overlong count");
-    expect_rejected(codec, {0x01, 0x80, 0x00, 0x01}, 4, "delta overlong gap");
-    expect_rejected(codec, {0x01, 0x00, 0x81, 0x00}, 4,
-                    "delta overlong increment");
+    // Mask 0b1, then increment 1 spelled `81 00`. The mask is a fixed-width
+    // byte, not a varint, so the increment is delta's only TDV varint.
+    expect_rejected(codec, {0x01, 0x81, 0x00}, 4, "delta overlong increment");
   }
   {
     const PayloadShape index_only{.index = true};
@@ -448,7 +468,7 @@ TEST(PiggybackCodecReject, DeltaShadowsSurviveRejection) {
   ASSERT_TRUE(std::ranges::equal(back.tdv, sent.tdv));
 
   // Malformed payload on the same channel: rejected, shadow intact...
-  expect_rejected(codec, {1, 0, 0}, n, "zero delta after good payload");
+  expect_rejected(codec, {0x01, 0}, n, "zero delta after good payload");
   // ...so the next genuine increment (entry 0: 1 -> 3) still decodes.
   arena.slot(0).tdv[0] = 3;
   std::vector<std::uint8_t> second;
@@ -631,37 +651,33 @@ const GoldenCase kGoldenCases[] = {
     {"flat/bcs/n130", PiggybackCodecKind::kFlat, kBcsShape, 130,
      "00000000 / 03000000 / 06000000 / 09000000 / 38010000"},
     {"delta/bhmr/n8", PiggybackCodecKind::kDelta, kBhmrShape, 8,
-     "0200010001020006040081008002010201 / "
-     "02000200c901010704008000a002010201 / "
-     "040002009003020302050200050200010104 / "
-     "04000400d904020302050205010500800080018000010201 / "
-     "030002009003059b9c010204010202040110"},
+     "030101819381800101 / 0302c901809380a00101 / 93029003030541050104 / "
+     "9304d9040305a09b8080800101 / 830290039b9c0150140410"},
     {"delta/fdas/n8", PiggybackCodecKind::kDelta, kFdasShape, 8,
-     "0200010001 / 02000200c901 / 04000200900302030205 / "
-     "04000400d90402030205 / 030002009003059b9c01"},
+     "030101 / 0302c901 / 930290030305 / 9304d9040305 / 830290039b9c01"},
     {"delta/bhmr-v2/n8", PiggybackCodecKind::kDelta, kBhmrV2Shape, 8,
-     "0200010001040081008002010201 / 02000200c90104008000a002010201 / "
-     "040002009003020302050200010104 / "
-     "04000400d904020302050500800080018000010201 / "
-     "030002009003059b9c010202040110"},
+     "0301019381800101 / 0302c9019380a00101 / 930290030305050104 / "
+     "9304d90403059b8080800101 / 830290039b9c01140410"},
     {"delta/bcs/n8", PiggybackCodecKind::kDelta, kBcsShape, 8,
      "00 / 03 / 06 / 09 / b202"},
     {"delta/bhmr/n64", PiggybackCodecKind::kDelta, kBhmrShape, 64,
-     "020001000102003e040001 00*6 80 00*8 801e01 00*7 1e01 00*7 / "
-     "02000200c90102073704 00*8 800000200000000000801e01 00*7 1e01 00*7 "
-     "/ 0400020090031e031e0502000d020001 00*7 010000000400000000 / "
-     "04000400d9041e031e0502152905 00*8 80 00*8 800100000000800000001c01 "
-     "00*7 1e01 00*7 / 0300020090033d9b9c01020e0d0202000000040000000001 "
-     "00*6 1000"},
+     "03 00*7 010101 00*6 80030000000100008001 00*6 80 00*7 8001 00*7 01 "
+     "00*7 / 03 00*7 02c90180 00*6 800300000001000080 00*7 "
+     "80002000000000008001 00*7 01 00*7 / 030000000100008002900303050140 "
+     "00*6 05 00*7 01 00*10 0400000000 / "
+     "030000000100008004d904030500002000000000800b00000001000080 00*7 80 "
+     "00*7 80000000008000000001 00*7 01 00*7 / 03 00*6 "
+     "800290039b9c01004000100000000014 00*10 04 00*10 1000"},
     {"delta/fdas/n64", PiggybackCodecKind::kDelta, kFdasShape, 64,
-     "0200010001 / 02000200c901 / 0400020090031e031e05 / "
-     "04000400d9041e031e05 / 0300020090033d9b9c01"},
+     "03 00*7 0101 / 03 00*7 02c901 / 03000000010000800290030305 / "
+     "030000000100008004d9040305 / 03 00*6 800290039b9c01"},
     {"delta/bhmr-v2/n64", PiggybackCodecKind::kDelta, kBhmrV2Shape, 64,
-     "0200010001040001 00*6 80 00*8 801e01 00*7 1e01 00*7 / "
-     "02000200c90104 00*8 800000200000000000801e01 00*7 1e01 00*7 / "
-     "0400020090031e031e05020001 00*7 010000000400000000 / "
-     "04000400d9041e031e0505 00*8 80 00*8 800100000000800000001c01 00*7 "
-     "1e01 00*7 / 0300020090033d9b9c010202000000040000000001 00*6 1000"},
+     "03 00*7 0101030000000100008001 00*6 80 00*7 8001 00*7 01 00*7 / 03 "
+     "00*7 02c9010300000001000080 00*7 80002000000000008001 00*7 01 00*7 / "
+     "0300000001000080029003030505 00*7 01 00*10 0400000000 / "
+     "030000000100008004d90403050b00000001000080 00*7 80 00*7 "
+     "80000000008000000001 00*7 01 00*7 / 03 00*6 800290039b9c0114 00*10 04 "
+     "00*10 1000"},
     {"delta/bcs/n64", PiggybackCodecKind::kDelta, kBcsShape, 64,
      "00 / 03 / 06 / 09 / b202"},
     {"sparse/bhmr/n8", PiggybackCodecKind::kSparse, kBhmrShape, 8,

@@ -132,16 +132,18 @@ TEST(Piggyback, MeasuredWireBitsPerProtocol) {
   EXPECT_EQ(bits(ProtocolKind::kCbr), 0u);
   EXPECT_EQ(bits(ProtocolKind::kCas), 0u);
   EXPECT_EQ(bits(ProtocolKind::kNras), 0u);
-  // Delta TDV, one changed entry: count(1) + gap(0) + delta(1) = 3 bytes.
-  EXPECT_EQ(bits(ProtocolKind::kFdi), 24u);
-  EXPECT_EQ(bits(ProtocolKind::kFdas), 24u);
-  // Full BHMR adds one simple flip (2 bytes) and the five diagonal causal
-  // rows (count + 5 x (row gap + 1-byte XOR mask) = 11 bytes): 16 bytes.
-  EXPECT_EQ(bits(ProtocolKind::kBhmr), 128u);
-  EXPECT_EQ(bits(ProtocolKind::kBhmrNoSimple), 112u);
-  // Delta TDV (3 bytes as above) plus an empty changed-row count for the
-  // causal matrix, whose diagonal stays false: 4 bytes.
-  EXPECT_EQ(bits(ProtocolKind::kBhmrC1Only), 32u);
+  // Delta TDV, one changed entry: change mask(0b1) + increment(1) = 2
+  // bytes.
+  EXPECT_EQ(bits(ProtocolKind::kFdi), 16u);
+  EXPECT_EQ(bits(ProtocolKind::kFdas), 16u);
+  // Full BHMR adds the simple flip mask (1 byte) and the five diagonal
+  // causal rows (changed-row mask + 5 one-byte XOR masks = 6 bytes): 9
+  // bytes.
+  EXPECT_EQ(bits(ProtocolKind::kBhmr), 72u);
+  EXPECT_EQ(bits(ProtocolKind::kBhmrNoSimple), 64u);
+  // Delta TDV (2 bytes as above) plus an empty changed-row mask for the
+  // causal matrix, whose diagonal stays false: 3 bytes.
+  EXPECT_EQ(bits(ProtocolKind::kBhmrC1Only), 24u);
   // Sparse scalar index: a single varint.
   EXPECT_EQ(bits(ProtocolKind::kBcs), 8u);
   EXPECT_EQ(bits(ProtocolKind::kAdaptive), bits(ProtocolKind::kBhmr));
@@ -160,13 +162,13 @@ TEST(PiggybackBits, FirstMessageGolden) {
       {ProtocolKind::kCbr, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}},
       {ProtocolKind::kCas, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}},
       {ProtocolKind::kNras, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}},
-      {ProtocolKind::kFdi, {24, 24, 24, 520, 1024}, {64, 160, 2048, 2080, 4096}},
-      {ProtocolKind::kFdas, {24, 24, 24, 520, 1024}, {64, 160, 2048, 2080, 4096}},
-      {ProtocolKind::kBhmr, {80, 128, 4656, 1064, 3096}, {70, 190, 6208, 6370, 20608}},
-      {ProtocolKind::kBhmrNoSimple, {64, 112, 4640, 1048, 3080}, {68, 185, 6144, 6305, 20480}},
-      {ProtocolKind::kBhmrC1Only, {32, 32, 32, 528, 1032}, {68, 185, 6144, 6305, 20480}},
+      {ProtocolKind::kFdi, {16, 16, 72, 520, 1024}, {64, 160, 2048, 2080, 4096}},
+      {ProtocolKind::kFdas, {16, 16, 72, 520, 1024}, {64, 160, 2048, 2080, 4096}},
+      {ProtocolKind::kBhmr, {48, 72, 4296, 1064, 3096}, {70, 190, 6208, 6370, 20608}},
+      {ProtocolKind::kBhmrNoSimple, {40, 64, 4232, 1048, 3080}, {68, 185, 6144, 6305, 20480}},
+      {ProtocolKind::kBhmrC1Only, {24, 24, 136, 528, 1032}, {68, 185, 6144, 6305, 20480}},
       {ProtocolKind::kBcs, {8, 8, 8, 8, 8}, {32, 32, 32, 32, 32}},
-      {ProtocolKind::kAdaptive, {80, 128, 4656, 1064, 3096}, {70, 190, 6208, 6370, 20608}},
+      {ProtocolKind::kAdaptive, {48, 72, 4296, 1064, 3096}, {70, 190, 6208, 6370, 20608}},
   };
   ASSERT_EQ(std::size(rows), all_protocol_kinds().size());
   for (const Row& row : rows) {

@@ -367,11 +367,11 @@ TEST(ServePiggyback, DriverCarriesCodecTrafficEndToEnd) {
 // must still carry every send's payload.
 TEST(ServeGolden, PiggybackSectionsMatchPinnedBytes) {
   const std::vector<std::string> expected = {
-      "n=8 bhmr: sections=24 bytes=0x01163ca965bcdfd3 sizes=0x567d297ee1332f98",
-      "n=8 fdas: sections=24 bytes=0x3bc731b2fc23874f sizes=0xae319857b9670973",
+      "n=8 bhmr: sections=24 bytes=0xdc0416b01d5447ac sizes=0x97885487f6ab2efb",
+      "n=8 fdas: sections=24 bytes=0x9ae68938fec71b6e sizes=0xc92acf7296c7ea68",
       "n=8 bcs: sections=24 bytes=0x9ed5c4572f5dbf09 sizes=0x4a078af3031e5365",
-      "n=64 bhmr: sections=30 bytes=0x336e5de507355589 sizes=0xe2a2ce01ad2d57d3",
-      "n=64 fdas: sections=30 bytes=0x822cbda3812931e3 sizes=0x80131442f94c7a20",
+      "n=64 bhmr: sections=30 bytes=0x48b83a08200c9852 sizes=0x3ce504c1937e5e7b",
+      "n=64 fdas: sections=30 bytes=0xc24a6026a1b9cd3e sizes=0x9884c5f833cd7d2f",
       "n=64 bcs: sections=30 bytes=0x0ad5ceadccd94338 sizes=0xffad5166f5483de4",
   };
   std::vector<std::string> got;
@@ -481,8 +481,8 @@ TEST(ServePiggyback, BadSectionIsCountedNotFatal) {
   encode_frame(1, events(0), pb, frame);
   pool.submit(frame);
 
-  // Right ids, but the blob is garbage for the declared delta codec (a
-  // truncated varint).
+  // Right ids, but the blob is garbage for the declared delta codec (its
+  // TDV change mask names entries past n = 3).
   pb.num_processes = 3;
   pb.sizes = {1};
   pb.bytes = {0xFF};
@@ -491,9 +491,9 @@ TEST(ServePiggyback, BadSectionIsCountedNotFatal) {
   pool.submit(frame);
 
   // A well-formed section decodes: one send whose TDV delta names entry 0
-  // going to 1 (count=1, gap=0, delta=1).
-  pb.sizes = {3};
-  pb.bytes = {1, 0, 1};
+  // going to 1 (change mask 0b1, increment 1).
+  pb.sizes = {2};
+  pb.bytes = {1, 1};
   frame.clear();
   encode_frame(1, events(2), pb, frame);
   pool.submit(frame);
@@ -504,7 +504,7 @@ TEST(ServePiggyback, BadSectionIsCountedNotFatal) {
   EXPECT_EQ(stats.rejected, 0);  // the events of all three frames applied
   EXPECT_EQ(stats.piggyback_rejected, 2);
   EXPECT_EQ(stats.piggyback_frames, 1);
-  EXPECT_EQ(stats.piggyback_bits, 3 * 8);
+  EXPECT_EQ(stats.piggyback_bits, 2 * 8);
   EXPECT_EQ(pool.events_consumed(1), 6);
   pool.close_session(1);
 }
